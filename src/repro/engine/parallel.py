@@ -160,10 +160,19 @@ def set_evaluator_cache_size(size: int) -> None:
         _EVALUATOR_CACHE.popitem(last=False)
 
 
+def clear_evaluator_cache() -> None:
+    """Drop every process-local cached evaluator (and its traces)."""
+    _EVALUATOR_CACHE.clear()
+
+
 def evaluator_for(spec: EvaluatorSpec) -> Evaluator:
     """The process-local cached evaluator for ``spec``."""
     evaluator = _EVALUATOR_CACHE.get(spec)
     if evaluator is None:
+        # Evict before building, so a full cache never holds one
+        # evaluator more than its capacity while the new one is built.
+        while len(_EVALUATOR_CACHE) >= _EVALUATOR_CACHE_MAX:
+            _EVALUATOR_CACHE.popitem(last=False)
         with trace_mod.span(
             "build_evaluator", cat="traces",
             node=getattr(spec.node, "name", str(spec.node)),
@@ -171,8 +180,6 @@ def evaluator_for(spec: EvaluatorSpec) -> Evaluator:
         ):
             evaluator = spec.build()
         _EVALUATOR_CACHE[spec] = evaluator
-        while len(_EVALUATOR_CACHE) > _EVALUATOR_CACHE_MAX:
-            _EVALUATOR_CACHE.popitem(last=False)
     else:
         _EVALUATOR_CACHE.move_to_end(spec)
     return evaluator
@@ -640,7 +647,10 @@ class ParallelChipRunner:
         :func:`repro.service.backends.register_execution_backend`) come
         here; the executor is created lazily on first use and lives
         until :meth:`close`, so a persistent fleet amortises across
-        batches.  Supervision events the executor reports are folded
+        batches.  Where an :class:`~repro.service.api.ExecutionService`
+        shares a fleet for the config's queue directory, the executor
+        is a lease on it, and :meth:`close` only releases the lease.
+        Supervision events the executor reports are folded
         into :attr:`stats` exactly like the pool path's.
         """
         from repro.service.backends import BatchItem, get_execution_backend
@@ -882,6 +892,7 @@ __all__ = [
     "SchemeOutcome",
     "ParallelChipRunner",
     "RunnerStats",
+    "clear_evaluator_cache",
     "evaluator_cache_size",
     "evaluator_for",
     "run_eval_task",

@@ -17,6 +17,7 @@ order).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -148,9 +149,33 @@ def experiment_names() -> Tuple[str, ...]:
 
 
 def _populate() -> None:
-    # Importing the experiments package registers every driver module;
-    # lazy so the engine itself never depends on the drivers at import.
-    import repro.experiments  # noqa: F401
+    # Importing the driver modules registers them; lazy so the engine
+    # itself never depends on the drivers at import.  Drivers imported
+    # earlier (one test, one ``-m`` entry point) registered out of
+    # order, so the paper order is restored once, ahead of any
+    # third-party registrations.
+    global _populated
+    with _POPULATE_LOCK:
+        if _populated:
+            return
+        import importlib
+
+        from repro.experiments import DRIVERS
+
+        names = [
+            importlib.import_module(f"repro.experiments.{module}")
+            .EXPERIMENT.name
+            for module in DRIVERS
+        ]
+        ordered = {name: _REGISTRY.pop(name) for name in names}
+        ordered.update(_REGISTRY)
+        _REGISTRY.clear()
+        _REGISTRY.update(ordered)
+        _populated = True
+
+
+_POPULATE_LOCK = threading.Lock()
+_populated = False
 
 
 __all__ = [

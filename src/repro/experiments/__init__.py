@@ -21,35 +21,24 @@ Module                    Paper content
 
 Every module exposes ``run(...)`` returning a result dataclass and
 ``main()`` that prints the paper-style rows, and registers an
-:class:`~repro.engine.registry.Experiment` (importing this package in
-paper order populates the registry -- that order is what
-``repro.engine.registry.all_experiments`` reports).  The ``benchmarks/``
-suite invokes ``run`` with reduced Monte-Carlo scale so a full
-regeneration stays laptop-sized.
+:class:`~repro.engine.registry.Experiment` when imported.  The drivers
+are imported lazily -- by attribute access here, or all at once, in
+paper order (:data:`DRIVERS`), when the registry is first queried -- so
+``python -m repro.experiments.<driver>`` runs a module that the package
+import has not already executed.  The ``benchmarks/`` suite invokes
+``run`` with reduced Monte-Carlo scale so a full regeneration stays
+laptop-sized.
 """
+
+import importlib
+from types import ModuleType
+from typing import Tuple
 
 from repro.experiments.runner import ExperimentContext
 from repro.experiments import reporting
 
-# Paper order; each import registers the module's Experiment.
-from repro.experiments import (  # noqa: E402  (registration side effects)
-    fig01_reuse,
-    fig04_retention_curve,
-    fig06_typical,
-    fig07_leakage,
-    fig08_line_retention,
-    fig09_schemes,
-    fig10_hundred_chips,
-    fig11_associativity,
-    fig12_sensitivity,
-    table3,
-    techcompare,
-    geomsweep,
-)
-
-__all__ = [
-    "ExperimentContext",
-    "reporting",
+#: Driver modules in paper order (the order the registry reports).
+DRIVERS: Tuple[str, ...] = (
     "fig01_reuse",
     "fig04_retention_curve",
     "fig06_typical",
@@ -62,4 +51,13 @@ __all__ = [
     "table3",
     "techcompare",
     "geomsweep",
-]
+)
+
+
+def __getattr__(name: str) -> ModuleType:
+    if name in DRIVERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = ["DRIVERS", "ExperimentContext", "reporting", *DRIVERS]

@@ -20,6 +20,12 @@ filesystem operations alone.
   ``checkpoints/`` directory with ``resume=True``, so :meth:`recover`
   (after a service crash or SIGKILL) re-runs interrupted jobs
   bit-identically, restoring completed work instead of recomputing it.
+* **One fleet per service** -- subprocess-fleet jobs share one worker
+  fleet per fleet configuration, on a queue in a directory under
+  ``fleets/`` that belongs to this service instance alone.  It spawns
+  at the first fleet job's first batch, each job's runner leases it,
+  and :meth:`close` stops and reaps its workers and removes the
+  directory.
 
 Determinism note: the service never reads wall-clock time; waits use
 monotonic deadlines, and results carry no timestamps.
@@ -31,14 +37,18 @@ import json
 import os
 import pathlib
 import pickle
+import shutil
+import tempfile
 import threading
 import time
 import traceback
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.errors import ConfigurationError, ExecutionError, JobCancelled
 from repro.engine.cache import ShardedResultCache
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, SUBPROCESS_FLEET_BACKEND
 from repro.engine.events import (
     EngineEvent,
     EventStream,
@@ -66,6 +76,9 @@ from repro.service.jobs import (
     write_spec,
     write_status,
 )
+
+if TYPE_CHECKING:
+    from repro.service.backends import SubprocessFleetBackend
 
 #: Poll period for status waits and in-flight coalescing.
 WAIT_POLL_S = 0.05
@@ -146,6 +159,11 @@ class ExecutionService:
             self.root / "cache", shard_prefix_len=shard_prefix_len
         )
         self._threads: Dict[str, threading.Thread] = {}
+        # This instance's fleet directory (created with the first fleet)
+        # and the shared fleets opened in it, for close() to stop.
+        self._fleet_root: Optional[pathlib.Path] = None
+        self._fleets: Set[Tuple[SubprocessFleetBackend, pathlib.Path]] = set()
+        self._fleets_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # submission
@@ -255,15 +273,56 @@ class ExecutionService:
             engine_fields["backend"] = spec.backend
         if spec.fleet_size is not None:
             engine_fields["fleet_size"] = spec.fleet_size
+        engine = self.engine_template.replace(**engine_fields)
+        if engine.backend == SUBPROCESS_FLEET_BACKEND:
+            engine = self._share_fleet(engine)
         return ExperimentContext(
             n_chips=spec.chips,
             n_references=spec.refs,
             seed=spec.seed,
             technology=spec.technology,
             geometry=_geometry_from_spec(spec.geometry),
-            engine=self.engine_template.replace(**engine_fields),
+            engine=engine,
             observer=observer,
         )
+
+    def _share_fleet(self, engine: EngineConfig) -> EngineConfig:
+        """Point a fleet job at this service's fleet for its config.
+
+        Fleets are keyed by what their workers are started with (size
+        and evaluator LRU); the job's runner then leases the fleet
+        through the backend registry instead of spawning its own.  The
+        queues live in a directory of this instance's own, so services
+        in other processes on the same root never touch its workers,
+        claims or signals.  An engine template that names a
+        ``queue_dir`` keeps that queue as is, and with it the
+        runner-owned fleet per job, so its results still dedupe against
+        every other client of that directory.
+        """
+        from repro.service.backends import (
+            SubprocessFleetBackend,
+            get_execution_backend,
+        )
+
+        backend = get_execution_backend(engine.backend)
+        if not isinstance(backend, SubprocessFleetBackend):
+            return engine  # a re-registered backend owns its lifecycle
+        if engine.queue_dir is not None:
+            return engine
+        name = f"size{engine.effective_fleet_size}"
+        if engine.evaluator_cache_size is not None:
+            name += f"-lru{engine.evaluator_cache_size}"
+        with self._fleets_lock:
+            if self._fleet_root is None:
+                fleets = self.root / "fleets"
+                fleets.mkdir(exist_ok=True)
+                self._fleet_root = pathlib.Path(
+                    tempfile.mkdtemp(prefix=f"{os.getpid()}-", dir=fleets)
+                )
+            engine = engine.replace(queue_dir=self._fleet_root / name)
+            backend.open_shared(engine)
+            self._fleets.add((backend, engine.queue_dir))
+        return engine
 
     def _run_job_guarded(self, job_id: str) -> None:
         job_dir = self.jobs_dir / job_id
@@ -544,8 +603,20 @@ class ExecutionService:
         return self.jobs()
 
     def close(self) -> None:
-        """Wait for this process's running jobs to finish."""
+        """Wait for this process's running jobs, then stop its fleets.
+
+        Fleet workers are reaped, and this instance's fleet directory
+        removed, before this returns.  A later fleet job on the same
+        service opens a fresh fleet.
+        """
         self.drain()
+        with self._fleets_lock:
+            fleets, self._fleets = self._fleets, set()
+            fleet_root, self._fleet_root = self._fleet_root, None
+        for backend, queue_dir in sorted(fleets, key=lambda f: f[1]):
+            backend.close_shared(queue_dir)
+        if fleet_root is not None:
+            shutil.rmtree(fleet_root, ignore_errors=True)
 
     def __enter__(self) -> "ExecutionService":
         return self

@@ -30,9 +30,11 @@ Executor contract (what a remote-host backend must provide):
 from __future__ import annotations
 
 import abc
+import pathlib
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.engine.config import (
@@ -41,6 +43,9 @@ from repro.engine.config import (
     SUBPROCESS_FLEET_BACKEND,
 )
 from repro.engine.events import EngineEvent, TaskRetried
+
+if TYPE_CHECKING:
+    from repro.service.fleet import SubprocessFleetExecutor
 
 
 @dataclass(frozen=True)
@@ -130,14 +135,53 @@ class LocalBackend(ExecutionBackend):
 
 
 class SubprocessFleetBackend(ExecutionBackend):
-    """Persistent worker processes over a durable on-disk queue."""
+    """Persistent worker processes over a durable on-disk queue.
+
+    By default every :meth:`executor` is an owning lease on a fleet of
+    its own, spawned at its first batch and stopped on ``close``.  A
+    fleet opened with :meth:`open_shared` instead outlives its clients:
+    while it is open, every :meth:`executor` call whose config names its
+    queue directory gets a borrowed lease on it.
+    """
 
     name = SUBPROCESS_FLEET_BACKEND
+
+    def __init__(self) -> None:
+        self._shared: Dict[pathlib.Path, SubprocessFleetExecutor] = {}
+        self._lock = threading.Lock()
 
     def executor(self, config: EngineConfig) -> BatchExecutor:
         from repro.service.fleet import SubprocessFleetExecutor
 
-        return SubprocessFleetExecutor(config)
+        with self._lock:
+            fleet = self._shared.get(config.queue_dir)
+        if fleet is not None:
+            return fleet.lease(config)
+        return SubprocessFleetExecutor(config).lease(config, owns_fleet=True)
+
+    def open_shared(self, config: EngineConfig) -> SubprocessFleetExecutor:
+        """The shared fleet on ``config.queue_dir``, created if needed.
+
+        Workers spawn at the fleet's first batch; :meth:`close_shared`
+        stops them.
+        """
+        from repro.service.fleet import SubprocessFleetExecutor
+
+        if config.queue_dir is None:
+            raise ConfigurationError("a shared fleet needs a queue_dir")
+        with self._lock:
+            fleet = self._shared.get(config.queue_dir)
+            if fleet is None:
+                fleet = SubprocessFleetExecutor(config)
+                self._shared[config.queue_dir] = fleet
+        return fleet
+
+    def close_shared(self, queue_dir: pathlib.Path) -> None:
+        """Stop and reap the shared fleet on ``queue_dir``, if open."""
+        with self._lock:
+            fleet = self._shared.pop(queue_dir, None)
+        if fleet is not None:
+            fleet.close()
 
 
 _BACKENDS: Dict[str, ExecutionBackend] = {}

@@ -122,28 +122,33 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     print(handle.job_id)
     if args.detach:
         return 0
-    if args.wait:
-        status = handle.wait()
-        print(service.report(handle.job_id), end="")
-        return 0 if status.state == "done" else 1
-    service.close()
+    try:
+        if args.wait:
+            status = handle.wait()
+            print(service.report(handle.job_id), end="")
+            return 0 if status.state == "done" else 1
+    finally:
+        service.close()
     return 0 if service.status(handle.job_id).state == "done" else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     service = _service(args)
-    recovered = service.recover()
-    for job_id in recovered:
-        print(f"recovered {job_id}")
-    while True:
-        for job_id in service.run_pending():
-            print(f"started {job_id}")
-        service.drain()
-        if not args.keep_alive:
-            break
-        queued = [s for s in service.jobs() if s.state == QUEUED]
-        if not queued:
-            time.sleep(args.poll)
+    try:
+        recovered = service.recover()
+        for job_id in recovered:
+            print(f"recovered {job_id}")
+        while True:
+            for job_id in service.run_pending():
+                print(f"started {job_id}")
+            service.drain()
+            if not args.keep_alive:
+                break
+            queued = [s for s in service.jobs() if s.state == QUEUED]
+            if not queued:
+                time.sleep(args.poll)
+    finally:
+        service.close()
     return 0
 
 

@@ -19,6 +19,9 @@ Layout under one queue root::
     results/<key>.result      pickled ("ok" | "error", value)
     workers/<worker-id>.pid   liveness breadcrumb, written by workers
     stop                      sentinel: workers drain and exit
+    release                   generation counter: bumped when the last
+                              client of a shared fleet lets go, so idle
+                              workers drop their per-job caches
 
 Envelope functions are referenced by ``module:qualname`` (never pickled
 by value), mirroring the engine's rule that task functions cross
@@ -110,6 +113,10 @@ class DurableTaskQueue:
     def stop_path(self) -> pathlib.Path:
         return self.root / "stop"
 
+    @property
+    def release_path(self) -> pathlib.Path:
+        return self.root / "release"
+
     # -- producer side -------------------------------------------------
 
     def enqueue(self, key: str, envelope: TaskEnvelope) -> bool:
@@ -144,6 +151,13 @@ class DurableTaskQueue:
         """Drop a completed result (the retry path for error results)."""
         try:
             self.result_path(key).unlink()
+        except FileNotFoundError:
+            pass
+
+    def withdraw(self, key: str) -> None:
+        """Take a not-yet-claimed task back out of the ready set."""
+        try:
+            self.task_path(key).unlink()
         except FileNotFoundError:
             pass
 
@@ -238,6 +252,19 @@ class DurableTaskQueue:
 
     def stop_requested(self) -> bool:
         return self.stop_path.exists()
+
+    def request_release(self) -> None:
+        """Bump the release generation (single writer: the coordinator)."""
+        _atomic_write(
+            self.release_path, str(self.release_generation() + 1).encode()
+        )
+
+    def release_generation(self) -> int:
+        """How many releases were signalled on this queue (0 if none)."""
+        try:
+            return int(self.release_path.read_text())
+        except (FileNotFoundError, ValueError):
+            return 0
 
 
 __all__ = [

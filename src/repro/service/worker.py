@@ -10,12 +10,18 @@ an abandoned fleet never outlives its run.
 
 Workers hold the same per-process evaluator LRU as pool workers
 (``--evaluator-cache-size`` mirrors the pool initializer), which is what
-makes a persistent fleet amortise trace construction across many jobs.
+makes a persistent fleet amortise trace construction across a job's
+batches.  When the queue's release generation moves (the last client of
+a shared fleet let go), the worker drops that cache and collects garbage
+before it runs its next task, so a fleet that outlives many jobs holds
+no finished job's traces.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import importlib
 import os
 import pathlib
@@ -52,6 +58,26 @@ def _parent_alive(parent_pid: Optional[int]) -> bool:
     return True
 
 
+def _drop_job_memory() -> None:
+    """Free the finished jobs' evaluators and return the heap to the OS.
+
+    Without the trim, glibc keeps the freed trace memory in the heap and
+    the next job's chip-build arrays land above it, so a long-lived
+    worker's peak resident set would climb by about that much.
+    """
+    from repro.engine.parallel import clear_evaluator_cache
+
+    clear_evaluator_cache()
+    gc.collect()
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc only
+    except (AttributeError, OSError):
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
 def serve(
     queue_dir: pathlib.Path,
     worker_id: str,
@@ -72,10 +98,17 @@ def serve(
 
         set_evaluator_cache_size(evaluator_cache_size)
     executed = 0
+    released = queue.release_generation()
     while not queue.stop_requested() and _parent_alive(parent_pid):
         if max_tasks is not None and executed >= max_tasks:
             break
         claimed = queue.claim(worker_id)
+        # Read after the claim: a task enqueued after a release then
+        # always runs on a dropped cache.
+        generation = queue.release_generation()
+        if generation != released:
+            released = generation
+            _drop_job_memory()
         if claimed is None:
             time.sleep(idle_poll_s)
             continue

@@ -166,6 +166,8 @@ class RetentionMap:
 #: (512 data bits in 64-bit words; tag cells fold into word 0).
 WORDS_PER_LINE: int = 8
 _WORD_BITS: int = 64
+#: Rows of one sub-array pair the 3T1D retention model evaluates at once.
+_ROW_BLOCK: int = 32
 
 
 def _line_and_word_minima(
@@ -415,17 +417,25 @@ class DRAM3T1DBackend(TechnologyBackend):
                 if sigma_eps > 0
                 else np.zeros(shape)
             )
-            cell_retention = np.asarray(
-                model.retention_time(d_t1, d_t2, delta_l, eps)
-            )
-            line_retention, data_words = _line_and_word_minima(
-                cell_retention, rows, cells
-            )
             line_ids = np.arange(rows) * geometry.n_pairs + pair
-            retention[line_ids] = line_retention
-            word_retention[line_ids] = data_words
-            # Supply leakage flows through the read stack; reuse the T2 draw.
-            leakage += float(np.sum(cell.leakage_power(d_t2, delta_l)))
+            cell_leakage = np.empty(shape)
+            # The element-wise models run in row blocks to bound their
+            # temporaries; the draws above keep the RNG order, and the
+            # one sum below keeps the float summation order.
+            for start in range(0, rows, _ROW_BLOCK):
+                block = slice(start, start + _ROW_BLOCK)
+                cell_retention = np.asarray(model.retention_time(
+                    d_t1[block], d_t2[block], delta_l, eps[block]
+                ))
+                line_retention, data_words = _line_and_word_minima(
+                    cell_retention, len(cell_retention), cells
+                )
+                retention[line_ids[block]] = line_retention
+                word_retention[line_ids[block]] = data_words
+                # Supply leakage flows through the read stack; reuse the
+                # T2 draw.
+                cell_leakage[block] = cell.leakage_power(d_t2[block], delta_l)
+            leakage += float(np.sum(cell_leakage))
 
         return RetentionMap(
             retention_by_line=retention,

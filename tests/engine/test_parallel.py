@@ -141,6 +141,32 @@ class TestEvaluatorCacheConfig:
         finally:
             set_evaluator_cache_size(original)
 
+    def test_cache_never_exceeds_its_size(self, monkeypatch):
+        """Eviction happens before a build, so the suite being built
+        never sits beside a full cache."""
+        from repro.engine import parallel
+
+        held = []
+
+        def build(spec):
+            # The cache plus the evaluator under construction.
+            held.append(len(parallel._EVALUATOR_CACHE) + 1)
+            return object()
+
+        monkeypatch.setattr(parallel.EvaluatorSpec, "build", build)
+        original = parallel.evaluator_cache_size()
+        try:
+            parallel.set_evaluator_cache_size(2)
+            for refs in (611, 612, 613, 611, 614):
+                parallel.evaluator_for(
+                    EvaluatorSpec(node=NODE_32NM, n_references=refs, seed=71)
+                )
+                assert len(parallel._EVALUATOR_CACHE) <= 2
+        finally:
+            parallel.set_evaluator_cache_size(original)
+            parallel.clear_evaluator_cache()
+        assert held and max(held) <= 2
+
     def test_invalid_size_rejected(self):
         from repro.engine.parallel import set_evaluator_cache_size
 

@@ -183,3 +183,31 @@ class TestExperimentMain:
 
         for experiment in all_experiments():
             assert callable(experiment.cli)
+
+
+class TestModuleEntryPoints:
+    def test_driver_runs_as_module_without_runtime_warning(self, tmp_path):
+        """``python -m repro.experiments.<driver>`` runs a module its
+        package import has not already executed (runpy warns otherwise,
+        and ``-W error`` turns that warning into a failed run)."""
+        import os
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.fig04_retention_curve",
+                "--chips", "1", "--refs", "400", "--no-cache",
+                "--out", str(tmp_path),
+            ],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert (tmp_path / "fig04_retention_curve.txt").exists()

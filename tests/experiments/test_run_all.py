@@ -1,5 +1,9 @@
 """The run-everything driver (registry-driven, cached, observable)."""
 
+import json
+import shutil
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.cache import ResultCache
@@ -9,15 +13,40 @@ from repro.experiments.runner import ExperimentContext
 from repro.experiments.run_all import run_all
 
 
-def test_run_all_writes_reports(tmp_path):
-    context = ExperimentContext(n_chips=4, n_references=1500, seed=3)
+CONTEXT = dict(n_chips=3, n_references=1000, seed=5)
+
+
+@pytest.fixture(scope="module")
+def regeneration(tmp_path_factory):
+    """One full ``run_all`` regeneration, shared by this module's tests.
+
+    It runs with a fresh result cache and a metrics observer attached,
+    and records every progress line, so each test below asserts on the
+    same run instead of regenerating the whole suite again.
+    """
+    out = tmp_path_factory.mktemp("regeneration")
+    observer = JSONMetricsObserver(out / "metrics.json")
+    cache = ResultCache(out / ".cache")
+    context = ExperimentContext(**CONTEXT, observer=observer)
     messages = []
-    summary = run_all(context, tmp_path, progress=messages.append)
+    summary = run_all(
+        context, out / "reports", progress=messages.append, cache=cache
+    )
+    return SimpleNamespace(
+        out=out / "reports", summary=summary, messages=messages,
+        observer=observer, cache=cache, context=context,
+    )
+
+
+def test_run_all_writes_reports(regeneration):
+    out = regeneration.out
+    messages = regeneration.messages
+    summary = regeneration.summary
 
     assert summary.exists()
     combined = summary.read_text()
     for experiment in all_experiments():
-        assert (tmp_path / f"{experiment.name}.txt").exists()
+        assert (out / f"{experiment.name}.txt").exists()
         assert experiment.name in combined or experiment.name == "table3"
     assert len(messages) == len(all_experiments())
     assert "Figure 9" in combined
@@ -28,54 +57,50 @@ def test_run_all_writes_reports(tmp_path):
         "fig10_hundred_chips.csv",
         "fig12_sensitivity.csv",
     ):
-        assert (tmp_path / csv_name).exists()
+        assert (out / csv_name).exists()
 
 
-def test_run_all_summary_contains_no_timings(tmp_path):
+def test_run_all_summary_contains_no_timings(regeneration):
     import re
 
-    context = ExperimentContext(n_chips=2, n_references=800, seed=9)
-    summary = run_all(context, tmp_path, progress=lambda line: None)
     # Timing lives in progress lines and metrics, never in the summary --
     # that is what keeps serial/parallel/cached summaries byte-identical.
-    text = summary.read_text()
+    text = regeneration.summary.read_text()
     assert not re.search(r"\(\d+\.\d+s\)", text)
     for name in experiment_names():
         assert f"\n{name}\n" in text
 
 
-def test_run_all_reuses_result_cache(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    context = ExperimentContext(n_chips=2, n_references=800, seed=11)
-    first_messages = []
-    first = run_all(
-        context, tmp_path / "a", progress=first_messages.append, cache=cache
-    )
+def test_run_all_reuses_result_cache(regeneration, tmp_path):
+    first_messages = regeneration.messages
+    first = regeneration.summary
     assert not any("(cached)" in line for line in first_messages)
 
     second_messages = []
     second = run_all(
-        context, tmp_path / "b", progress=second_messages.append, cache=cache
+        ExperimentContext(**CONTEXT), tmp_path / "b",
+        progress=second_messages.append, cache=regeneration.cache,
     )
     assert all("(cached)" in line for line in second_messages)
     assert first.read_text() == second.read_text()
 
 
-def test_run_all_emits_observer_events(tmp_path):
-    observer = JSONMetricsObserver(tmp_path / "metrics.json")
-    context = ExperimentContext(
-        n_chips=2, n_references=800, seed=13, observer=observer
-    )
-    run_all(context, tmp_path, progress=lambda line: None)
-    assert (tmp_path / "metrics.json").exists()
+def test_run_all_emits_observer_events(regeneration):
+    observer = regeneration.observer
+    assert (regeneration.out.parent / "metrics.json").exists()
     recorded = [e["name"] for e in observer.metrics["experiments"]]
     assert recorded == list(experiment_names())
     assert observer.metrics["total_elapsed_s"] is not None
 
 
-def test_cli_main_small_scale(tmp_path):
+def test_cli_main_small_scale(regeneration, tmp_path):
     from repro.experiments import run_all as run_all_module
 
+    # Seeded with the shared run's cache, the CLI at the same scale
+    # resolves every experiment from it instead of regenerating.
+    shutil.copytree(
+        regeneration.cache.directory, tmp_path / "reports" / ".cache"
+    )
     run_all_module.main(
         [
             "--chips", "3",
@@ -87,6 +112,12 @@ def test_cli_main_small_scale(tmp_path):
     assert (tmp_path / "reports" / "summary.txt").exists()
     assert (tmp_path / "reports" / "metrics.json").exists()
     assert (tmp_path / "reports" / ".cache").is_dir()
+    metrics = json.loads((tmp_path / "reports" / "metrics.json").read_text())
+    assert all(e["cached"] for e in metrics["experiments"])
+    assert (
+        (tmp_path / "reports" / "summary.txt").read_text()
+        == regeneration.summary.read_text()
+    )
 
 
 def test_deprecated_experiments_alias_warns():
