@@ -1,6 +1,6 @@
 """Time the batched evaluation kernels against the event controller.
 
-Three stages, mirroring the guarantees the kernels make:
+Four stages, mirroring the guarantees the kernels make:
 
 1. **Bit-identity check** -- every scheme x benchmark on a small chip
    batch, comparing the kernel-routed evaluation against
@@ -14,10 +14,17 @@ Three stages, mirroring the guarantees the kernels make:
    the headline schemes) evaluated end to end through both paths, plus
    raw per-scheme ``simulate_trace`` vs ``run_trace`` timings.  Every
    row times the real kernel; there are no copied fallback rows.
+4. **Lanes** -- a chip batch on the lane kernel (``simulate_lanes``)
+   against the same chips replayed one at a time (``simulate_trace``,
+   a one-chip lane batch): severe chips x {no-refresh/LRU,
+   partial-refresh/DSP} x every benchmark, alternating, with per-chip
+   statistics asserted identical to the one-chip replays and, on the
+   first benchmark, to the event controller.
 
 Results land in ``BENCH_batcheval.json`` (see ``--out``), the repo's
-perf-trajectory record.  CI passes ``--require-full-coverage`` and
-``--min-suite-speedup 5`` to gate regressions.
+perf-trajectory record.  CI passes ``--require-full-coverage``,
+``--min-suite-speedup 5`` and ``--min-lanes-speedup`` to gate
+regressions.
 
 Usage::
 
@@ -36,18 +43,27 @@ from typing import Dict, List, Optional
 
 from repro.array.chip import ChipSampler
 from repro.core.architecture import Cache3T1DArchitecture
-from repro.core.batcheval import kernel_support, simulate_trace
+from repro.core.batcheval import (
+    kernel_support,
+    simulate_lanes,
+    simulate_trace,
+)
 from repro.core.evaluation import Evaluator
 from repro.core.schemes import (
     HEADLINE_SCHEMES,
     LINE_LEVEL_SCHEMES,
     SCHEME_GLOBAL,
+    SCHEME_NO_REFRESH_LRU,
+    SCHEME_PARTIAL_DSP,
 )
 from repro.errors import ChipDiscardedError
 from repro.technology.node import NODE_32NM
 from repro.variation.parameters import VariationParams
 
 ALL_SCHEMES = (SCHEME_GLOBAL,) + LINE_LEVEL_SCHEMES
+
+#: The flattened-path schemes of Figure 10, timed on chip lanes.
+LANE_SCHEMES = (SCHEME_NO_REFRESH_LRU, SCHEME_PARTIAL_DSP)
 
 
 def _evaluate(evaluator, chip, scheme):
@@ -200,6 +216,86 @@ def time_kernel(n_chips: int, n_references: int, seed: int) -> Dict:
     }
 
 
+def time_lanes(n_chips: int, n_references: int, seed: int) -> Dict:
+    """One chip batch on lanes vs the same chips replayed one at a time.
+
+    Each (scheme, benchmark) replays the whole batch once on lanes and
+    once chip by chip, alternating, after an untimed pass that builds
+    the memoised per-trace and per-cache inputs both share.  The first
+    benchmark's batch is also checked against the event controller.
+    """
+    sampler = ChipSampler(NODE_32NM, VariationParams.severe(), seed=seed)
+    chips = sampler.sample_3t1d_chips(n_chips)
+    evaluator = Evaluator(NODE_32NM, n_references=n_references, seed=seed)
+    n_sets = evaluator.config.geometry.n_sets
+    mismatches: List[str] = []
+    checked = 0
+    schemes: Dict[str, Dict] = {}
+    for scheme in LANE_SCHEMES:
+        def build():
+            return [
+                Cache3T1DArchitecture(chip, scheme, config=evaluator.config)
+                .build_cache()
+                for chip in chips
+            ]
+
+        caches = build()
+        first = evaluator.benchmarks[0]
+        warm = evaluator.trace_artifacts(first, n_sets)
+        trace = evaluator.trace(first)
+        oracle = [
+            cache.run_trace(
+                trace.cycles, trace.line_addresses, trace.is_write,
+                warmup_references=trace.warmup_references,
+            )
+            for cache in build()
+        ]
+        for chip, a, b in zip(chips, simulate_lanes(caches, warm), oracle):
+            checked += 1
+            if a != b:
+                mismatches.append(
+                    f"chip {chip.chip_id} {scheme.name} {first} (controller)"
+                )
+        for cache in caches:
+            simulate_trace(cache, warm)
+        lanes_s = single_s = 0.0
+        for bench in evaluator.benchmarks:
+            artifacts = evaluator.trace_artifacts(bench, n_sets)
+            artifacts.lane_columns()
+            start = time.perf_counter()
+            lanes = simulate_lanes(caches, artifacts)
+            lanes_s += time.perf_counter() - start
+            start = time.perf_counter()
+            single = [simulate_trace(cache, artifacts) for cache in caches]
+            single_s += time.perf_counter() - start
+            for chip, a, b in zip(chips, lanes, single):
+                checked += 1
+                if a != b:
+                    mismatches.append(
+                        f"chip {chip.chip_id} {scheme.name} {bench}"
+                    )
+        schemes[scheme.name] = {
+            "lanes_s": lanes_s,
+            "one_chip_s": single_s,
+            "speedup": single_s / lanes_s if lanes_s else 0.0,
+        }
+    lanes_total = sum(entry["lanes_s"] for entry in schemes.values())
+    single_total = sum(entry["one_chip_s"] for entry in schemes.values())
+    return {
+        "workload": "severe chips x {no-refresh/LRU, partial-refresh/DSP}"
+                    " x suite, one lane batch vs one-chip replays",
+        "chips": n_chips,
+        "references": n_references,
+        "schemes": schemes,
+        "lanes_s": lanes_total,
+        "one_chip_s": single_total,
+        "speedup": single_total / lanes_total if lanes_total else 0.0,
+        "checked": checked,
+        "mismatches": mismatches,
+        "ok": not mismatches,
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chips", type=int, default=4,
@@ -216,6 +312,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless fast_path_coverage == 1.0")
     parser.add_argument("--min-suite-speedup", type=float, default=None,
                         help="fail unless the suite speedup meets this floor")
+    parser.add_argument("--lanes-chips", type=int, default=8,
+                        help="chips in the lane-kernel batch (default 8)")
+    parser.add_argument("--lanes-refs", type=int, default=20000,
+                        help="trace length for the lane-kernel batch")
+    parser.add_argument("--min-lanes-speedup", type=float, default=None,
+                        help="fail unless the lane speedup meets this floor")
     args = parser.parse_args(argv)
 
     print(
@@ -254,6 +356,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{timing['suite_speedup']:.2f}x"
     )
 
+    print(
+        f"lanes: {args.lanes_chips} chips x "
+        f"{len(LANE_SCHEMES)} schemes x 8 benchmarks "
+        f"({args.lanes_refs} refs) ..."
+    )
+    lanes = time_lanes(args.lanes_chips, args.lanes_refs, args.seed)
+    for name, entry in lanes["schemes"].items():
+        print(
+            f"  {name:24s} one-chip {entry['one_chip_s']:6.2f}s  lanes "
+            f"{entry['lanes_s']:6.2f}s  {entry['speedup']:.2f}x"
+        )
+    print(
+        f"  {lanes['checked']} per-chip replays, "
+        f"{len(lanes['mismatches'])} mismatches; "
+        f"speedup {lanes['speedup']:.2f}x"
+    )
+
     payload = {
         "benchmark": "batcheval",
         "python": platform.python_version(),
@@ -261,6 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "seed": args.seed,
         "identity": identity,
         "timing": timing,
+        "lanes": lanes,
     }
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -271,6 +391,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not identity["ok"]:
         print("bit-identity check FAILED", file=sys.stderr)
         for mismatch in identity["mismatches"]:
+            print(f"  {mismatch}", file=sys.stderr)
+        failed = True
+    if not lanes["ok"]:
+        print("lane-kernel identity check FAILED", file=sys.stderr)
+        for mismatch in lanes["mismatches"]:
             print(f"  {mismatch}", file=sys.stderr)
         failed = True
     if args.require_full_coverage and timing["fast_path_coverage"] < 1.0:
@@ -287,6 +412,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"speedup gate FAILED: suite {timing['suite_speedup']:.2f}x "
             f"< {args.min_suite_speedup:g}x",
+            file=sys.stderr,
+        )
+        failed = True
+    if (
+        args.min_lanes_speedup is not None
+        and lanes["speedup"] < args.min_lanes_speedup
+    ):
+        print(
+            f"speedup gate FAILED: lanes {lanes['speedup']:.2f}x "
+            f"< {args.min_lanes_speedup:g}x",
             file=sys.stderr,
         )
         failed = True

@@ -15,15 +15,18 @@ module provides the production path:
   configuration takes, and why when it must fall back;
 * :func:`simulate_trace` -- the batched replay dispatcher.  LRU/DSP
   placement under the paper's four closed-form refresh policies runs the
-  flattened kernel in this module; the RSP block-move schemes, the
-  online token-refresh engine, and the real L2 simulator run the
-  timeline kernels in :mod:`repro.core.timeline`.  Both paths are
+  flattened path (a one-chip :func:`simulate_lanes` batch); the RSP
+  block-move schemes, the online token-refresh engine, and the real L2
+  simulator run the timeline kernels in :mod:`repro.core.timeline`.  Both paths are
   **bit-identical** to ``RetentionAwareCache.run_trace``; only caches
   with third-party refresh/replacement/device objects fall back to the
   event controller;
+* :func:`simulate_lanes` -- the flattened path for a batch of chips at
+  once (chip lanes, see :class:`LaneColumns`), bit-identical per chip;
 * :func:`evaluate_many` / :func:`evaluate` -- the stable batched API the
   engine (:mod:`repro.engine.parallel`) and the fig09/fig10/fig11
-  drivers route through.
+  drivers route through; a batch replays each flattened-path scheme on
+  chip lanes, one trace at a time for all of its chips.
 
 Bit-identity is enforced by tests that cross-validate the kernels
 against the event controller on every scheme x benchmark; the perf
@@ -33,9 +36,12 @@ and fast-path coverage in ``BENCH_batcheval.json``.
 
 from __future__ import annotations
 
+import array
+import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +96,9 @@ class TraceArtifacts:
     ``line_address // n_sets`` (plus numpy-scalar conversions) on every
     access of every (chip, scheme) evaluation.  The kernels instead run
     over views of one structured array (:data:`COLUMN_DTYPE`), derived
-    once per (trace, n_sets): the flattened kernel walks the
-    program-order plain-``int`` lists; the per-set timeline kernel walks
+    once per (trace, n_sets): the lane kernel walks their
+    :meth:`lane_columns` packing, the L2/token timeline kernel the
+    program-order plain-``int`` lists, and the per-set timeline kernel
     the :meth:`set_streams` regrouping of the same columns.
     """
 
@@ -160,7 +167,9 @@ class TraceArtifacts:
         lists in program order, where ``ticks`` are global reference
         indices and ``warm_split`` is the position of the first
         post-warmup reference in this set's stream.  Derived once via a
-        stable argsort over the ``set`` column, then cached.
+        stable argsort over the ``set`` column, then cached.  The lists
+        share the int objects of the program-order lists rather than
+        boxing every cycle and tag a second time.
         """
         cached = getattr(self, "_set_streams", None)
         if cached is not None:
@@ -169,28 +178,40 @@ class TraceArtifacts:
         streams: List[Optional[Tuple]] = [None] * self.n_sets
         if len(columns):
             order = np.argsort(columns["set"], kind="stable")
-            sets_sorted = columns["set"][order]
             bounds = np.searchsorted(
-                sets_sorted, np.arange(self.n_sets + 1)
+                columns["set"][order], np.arange(self.n_sets + 1)
             )
-            cycles_sorted = columns["cycle"][order]
-            tags_sorted = columns["tag"][order]
-            writes_sorted = columns["write"][order]
+            cycle_of = self.cycles.__getitem__
+            tag_of = self.tags.__getitem__
+            write_of = self.is_write.__getitem__
             warm = self.warmup_references
             for s in range(self.n_sets):
                 lo, hi = int(bounds[s]), int(bounds[s + 1])
                 if lo == hi:
                     continue
                 ticks = order[lo:hi]
+                tick_list = ticks.tolist()
                 streams[s] = (
-                    ticks.tolist(),
-                    cycles_sorted[lo:hi].tolist(),
-                    tags_sorted[lo:hi].tolist(),
-                    writes_sorted[lo:hi].tolist(),
+                    tick_list,
+                    list(map(cycle_of, tick_list)),
+                    list(map(tag_of, tick_list)),
+                    list(map(write_of, tick_list)),
                     int(np.searchsorted(ticks, warm)),
                 )
         object.__setattr__(self, "_set_streams", streams)
         return streams
+
+    def lane_columns(self) -> "LaneColumns":
+        """The columns packed step-major for the chip-lane kernel.
+
+        See :class:`LaneColumns`; derived once from :meth:`columnar`,
+        then cached.
+        """
+        cached = getattr(self, "_lane_columns", None)
+        if cached is None:
+            cached = LaneColumns.from_columns(self.columnar(), self.n_sets)
+            object.__setattr__(self, "_lane_columns", cached)
+        return cached
 
 
 #: The replay paths :func:`kernel_support` can assign a cache to.
@@ -270,6 +291,101 @@ def _kernel_supported(cache: RetentionAwareCache) -> bool:
     return kernel_support(cache).supported
 
 
+class _ReplaySetup:
+    """Per-line replay constants of one cache, built once per (chip, scheme).
+
+    The kernels never mutate the cache they replay, so the evaluator
+    replays every benchmark of an architecture on one cache instance and
+    these O(cache lines) derivations -- effective lifetimes, refresh
+    caps, retention-sorted way orders -- are memoised on it instead of
+    being rebuilt per replay.  Retention is already quantised by the
+    controller's constructor; lifetimes and caps are pure functions of
+    it, so they are computed once per distinct value (a b-bit counter
+    admits at most 2**b of them).  Each kernel builds only the views it
+    reads.
+    """
+
+    def __init__(self, cache: RetentionAwareCache):
+        refresh = cache.refresh
+        self.grid = cache.retention_grid
+        self.n_ways = cache.config.geometry.ways
+        self._distinct, self._inverse = np.unique(
+            self.grid, return_inverse=True
+        )
+        distinct = self._distinct.tolist()
+        self.life_by_r: Dict[int, float] = {
+            r: refresh.effective_lifetime(r) for r in distinct
+        }
+        self.maxref_by_r: Dict[int, int] = {}
+        if type(refresh) is FullRefresh:
+            self.acc_mode = 1
+        elif type(refresh) is PartialRefresh:
+            self.acc_mode = 2
+            self.maxref_by_r = {r: refresh.max_refreshes(r) for r in distinct}
+        else:  # NoRefresh / GlobalRefresh: zero per-line refreshes
+            self.acc_mode = 0
+
+    @functools.cached_property
+    def retention(self) -> List[int]:
+        """Quantised retention per line (flat, plain ints)."""
+        return self.grid.reshape(-1).tolist()
+
+    @functools.cached_property
+    def lifetime(self) -> List[float]:
+        """Effective lifetime per line (flat)."""
+        life_by_r = self.life_by_r
+        return [life_by_r[r] for r in self.retention]
+
+    def per_line(self, by_r: Dict[int, Any], dtype) -> np.ndarray:
+        """``by_r`` mapped over the retention grid, as an array."""
+        values = np.asarray(
+            [by_r[r] for r in self._distinct.tolist()], dtype=dtype
+        )
+        return values[self._inverse].reshape(self.grid.shape)
+
+    @functools.cached_property
+    def orders(self) -> List[List[int]]:
+        """Per set: live ways by descending retention (ties by way)."""
+        n_ways = self.n_ways
+        retention = self.retention
+        orders = []
+        for base in range(0, len(retention), n_ways):
+            orders.append(sorted(
+                (w for w in range(n_ways) if retention[base + w] > 0),
+                key=lambda w: (-retention[base + w], w),
+            ))
+        return orders
+
+    @functools.cached_property
+    def rsp_sets(self) -> List[Tuple[List[int], List[int], List[float],
+                                     List[int]]]:
+        """Per set, the RSP kernel's ``(order, retention, lifetime,
+        sweep positions)`` in slot space."""
+        n_ways = self.n_ways
+        retention = self.retention
+        life_by_r = self.life_by_r
+        rows = []
+        for s, order in enumerate(self.orders):
+            retp = [retention[s * n_ways + w] for w in order]
+            rows.append((
+                order,
+                retp,
+                [life_by_r[r] for r in retp],
+                # Expiry sweeps visit ways in way-index order.
+                sorted(range(len(order)), key=lambda p: order[p]),
+            ))
+        return rows
+
+
+def _replay_setup(cache: RetentionAwareCache) -> _ReplaySetup:
+    """The memoised :class:`_ReplaySetup` of ``cache``."""
+    setup = cache.__dict__.get("_replay_setup")
+    if setup is None:
+        setup = _ReplaySetup(cache)
+        cache.__dict__["_replay_setup"] = setup
+    return setup
+
+
 def simulate_trace(
     cache: RetentionAwareCache, artifacts: TraceArtifacts
 ) -> CacheStats:
@@ -279,7 +395,7 @@ def simulate_trace(
     used as the source of configuration, quantised retention, and policy
     objects, and is not mutated.  Dispatches on
     :func:`kernel_support`: stationary LRU/DSP placement runs the
-    flattened kernel here; RSP placement, the token engine, and the real
+    chip-lane kernel on a one-chip batch; RSP placement, the token engine, and the real
     L2 run the timeline kernels in :mod:`repro.core.timeline`.  The
     returned :class:`CacheStats` is bit-identical to ``cache.run_trace``
     on the same trace for every supported configuration.
@@ -303,338 +419,760 @@ def simulate_trace(
         from repro.core.timeline import simulate_trace_timeline
 
         return simulate_trace_timeline(cache, artifacts)
-    return _simulate_flattened(cache, artifacts)
+    return _lane_replay([cache], artifacts)[0]
 
 
-def _simulate_flattened(
-    cache: RetentionAwareCache, artifacts: TraceArtifacts
-) -> CacheStats:
-    """The stationary-placement (LRU/DSP, no devices) replay kernel."""
-    config = cache.config
+def _measured_loads_stores(artifacts: TraceArtifacts) -> Tuple[int, int]:
+    """Post-warmup (loads, stores), counted from the columnar write flags.
+
+    Both are state-independent, so the kernels never branch on them per
+    access.
+    """
+    n = len(artifacts)
+    measured_from = min(artifacts.warmup_references, n)
+    stores = int(np.count_nonzero(
+        artifacts.columnar()["write"][measured_from:]
+    ))
+    return n - measured_from - stores, stores
+
+
+# ----------------------------------------------------------------------
+# chip-lane replay (the flattened path for a batch of chips at once)
+# ----------------------------------------------------------------------
+
+#: A lane step costs about as much as this many scalar references
+#: (active sets x chips); narrower steps finish on the per-set loop.
+_LANE_MIN_WIDTH = 64
+
+#: Victim key of a dead line: larger than any reference tick.
+_DEAD_KEY = np.int64(1) << 62
+
+
+@dataclass(frozen=True)
+class LaneColumns:
+    """A trace's references packed step-major for the chip-lane kernel.
+
+    Lanes are the trace's non-empty sets, ordered by descending stream
+    length (ties by set index), so the sets still active at step ``k``
+    are always the lane prefix ``[0, offsets[k + 1] - offsets[k])``.
+    Step ``k`` holds the ``k``-th reference of every active set, in lane
+    order, at ``offsets[k]:offsets[k + 1]`` of the packed columns; every
+    array is O(references), with no steps x sets padding.
+    """
+
+    sets: np.ndarray
+    """Set index of each lane."""
+    lengths: np.ndarray
+    """Stream length of each lane (non-increasing)."""
+    offsets: np.ndarray
+    """Start of each step in the packed columns (one extra end entry)."""
+    ticks: np.ndarray
+    """Global (program-order) reference index."""
+    cycles: np.ndarray
+    tags: np.ndarray
+    writes: np.ndarray
+
+    @classmethod
+    def from_columns(cls, columns: np.ndarray, n_sets: int) -> "LaneColumns":
+        """Pack a :data:`COLUMN_DTYPE` array step-major."""
+        sets = columns["set"].astype(np.int64)
+        counts = np.bincount(sets, minlength=n_sets)
+        n_lanes = int(np.count_nonzero(counts))
+        lane_sets = np.argsort(-counts, kind="stable")[:n_lanes]
+        lengths = counts[lane_sets]
+        rank = np.zeros(n_sets, dtype=np.int64)
+        rank[lane_sets] = np.arange(n_lanes)
+        by_set = np.argsort(sets, kind="stable")
+        starts = np.cumsum(counts) - counts
+        sets_sorted = sets[by_set]
+        position = np.arange(len(sets)) - starts[sets_sorted]
+        packed = by_set[np.argsort(
+            position * n_lanes + rank[sets_sorted], kind="stable"
+        )]
+        steps = int(lengths[0]) if n_lanes else 0
+        active = n_lanes - np.searchsorted(
+            lengths[::-1], np.arange(steps), side="right"
+        )
+        offsets = np.zeros(steps + 1, dtype=np.int64)
+        np.cumsum(active, out=offsets[1:])
+        return cls(
+            sets=lane_sets,
+            lengths=lengths,
+            offsets=offsets,
+            ticks=_narrow(packed),
+            cycles=_narrow(columns["cycle"][packed]),
+            tags=_narrow(columns["tag"][packed]),
+            writes=columns["write"][packed],
+        )
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` as int32 when every value fits (halves lane memory)."""
+    info = np.iinfo(np.int32)
+    if len(values) and (values.min() < info.min or values.max() > info.max):
+        return values
+    return values.astype(np.int32)
+
+
+def _write_buffer_stall(ticks, cycles, warm: int, config) -> int:
+    """Replay write-buffer arrivals in program order; measured stall.
+
+    ``ticks``/``cycles`` are the arrivals' global reference indices and
+    cycles, already in the controller's order; arrivals before ``warm``
+    move the buffer state but their stalls are not counted (same update
+    rules as :class:`repro.cache.l2.WriteBuffer`).
+    """
+    stall = 0
+    queued = 0
+    last = 0.0
+    cap = config.write_buffer_entries
+    drain = config.l2_write_interval_cycles
+    for tick, cycle in zip(ticks, cycles):
+        if cycle < last:
+            cycle = last
+        drained = int((cycle - last) // drain)
+        if drained:
+            queued -= drained
+            if queued < 0:
+                queued = 0
+        last = cycle
+        if queued >= cap:
+            queued = cap
+            if tick >= warm:
+                stall += drain
+        else:
+            queued += 1
+    return stall
+
+
+def _replay_write_backs(pushes, n_chips, n_refs, n_ways, warm, config):
+    """Per chip: write-buffer stall, write-backs and expiry write-backs.
+
+    ``pushes`` holds the lane kernel's (key, cycle) log columns, keyed
+    ``(chip * (n_refs + 1) + tick) * (n_ways + 1) + sub``; sorting the
+    keys puts every chip's arrivals in the controller's order.  The log
+    is consumed (emptied) to keep the peak small.
+    """
+    stalls = [0] * n_chips
+    writebacks = [0] * n_chips
+    expiry_writebacks = [0] * n_chips
+    if not pushes:
+        return stalls, writebacks, expiry_writebacks
+    keys = np.concatenate([key for key, _ in pushes])
+    cycles = np.concatenate([cycle for _, cycle in pushes])
+    pushes.clear()
+    order = np.argsort(keys)
+    keys = keys[order]
+    cycles = cycles[order]
+    del order
+    per_chip = (n_refs + 1) * (n_ways + 1)
+    bounds = np.searchsorted(
+        keys, np.arange(n_chips + 1, dtype=np.int64) * per_chip
+    ).tolist()
+    for chip in range(n_chips):
+        lo, hi = bounds[chip], bounds[chip + 1]
+        ticks, subs = np.divmod(keys[lo:hi] - chip * per_chip, n_ways + 1)
+        measured = ticks >= warm
+        writebacks[chip] = int(np.count_nonzero(measured))
+        expiry_writebacks[chip] = int(
+            np.count_nonzero(measured & (subs < n_ways))
+        )
+        stalls[chip] = _write_buffer_stall(
+            ticks.tolist(), cycles[lo:hi].tolist(), warm, config
+        )
+    return stalls, writebacks, expiry_writebacks
+
+
+def _lane_grid(rows: List[np.ndarray], lane_sets: np.ndarray) -> np.ndarray:
+    """Stack per-chip ``(n_sets, ways)`` grids into ``(ways, chips, lanes)``."""
+    grid = np.stack(rows)[:, lane_sets]
+    return np.ascontiguousarray(grid.transpose(2, 0, 1))
+
+
+def simulate_lanes(
+    caches: Sequence[RetentionAwareCache], artifacts: TraceArtifacts
+) -> List[CacheStats]:
+    """Replay one trace on the flattened path for a batch of chips at once.
+
+    ``caches`` are fresh caches of the same configuration, placement and
+    refresh policy types (one per chip; only retention differs), all on
+    the ``"flattened"`` path.  Returns one :class:`CacheStats` per cache,
+    bit-identical to ``cache.run_trace`` on each; a one-cache batch is
+    what :func:`simulate_trace` runs for a flattened-path cache.
+
+    Line state lives in ``(ways, chips, lanes)`` arrays: ways lead, so
+    every per-set reduction is a cheap leading-axis reduction, and lanes
+    are innermost, so per-step columns broadcast along a contiguous
+    inner loop.  Step ``k`` serves the ``k``-th reference of every
+    active set (see :class:`LaneColumns`) for every chip with dense
+    masked numpy ops; once active sets x chips drops below
+    ``_LANE_MIN_WIDTH`` the remaining long sets finish on a scalar
+    per-set loop.  Sets are independent except for the shared write
+    buffer, so write-back arrivals are logged by ``(chip, tick, sub)``
+    with their cycle and replayed per chip in program order afterwards,
+    as the RSP timeline kernel does.
+    """
+    if not caches:
+        return []
+    _check_lane_batch(caches)
+    return _lane_replay(caches, artifacts)
+
+
+def _check_lane_batch(caches: Sequence[RetentionAwareCache]) -> None:
+    """Raise unless ``caches`` can share one lane replay."""
+    first = caches[0]
+    for cache in caches:
+        support = kernel_support(cache)
+        if support.path != "flattened":
+            raise ConfigurationError(
+                "the lane kernel runs the flattened path only; got "
+                f"{support.path!r}"
+            )
+        if cache._tick:
+            raise SimulationError(
+                "simulate_lanes needs fresh (never accessed) cache instances"
+            )
+        if (
+            cache.config != first.config
+            or type(cache.replacement) is not type(first.replacement)
+            or type(cache.refresh) is not type(first.refresh)
+        ):
+            raise ConfigurationError(
+                "a lane batch must share one cache configuration and "
+                "policy types"
+            )
+
+
+def _lane_replay(
+    caches: Sequence[RetentionAwareCache], artifacts: TraceArtifacts
+) -> List[CacheStats]:
+    """:func:`simulate_lanes` on a batch :func:`_check_lane_batch` passed."""
+    n_sets = caches[0].config.geometry.n_sets
+    if artifacts.n_sets != n_sets:
+        raise ConfigurationError(
+            f"artifacts were built for {artifacts.n_sets} sets but the "
+            f"caches have {n_sets}"
+        )
+    with _trace_span(
+        "replay_lanes", cat="kernel", path="flattened",
+        chips=len(caches), references=len(artifacts),
+    ):
+        return _replay_lanes(caches, artifacts)
+
+
+def _replay_lanes(
+    caches: Sequence[RetentionAwareCache], artifacts: TraceArtifacts
+) -> List[CacheStats]:
+    """The lane kernel behind :func:`_lane_replay` (inputs validated)."""
+    first = caches[0]
+    config = first.config
     geometry = config.geometry
-    n_sets = geometry.n_sets
     n_ways = geometry.ways
-
-    refresh = cache.refresh
-    aware = cache.replacement.uses_retention_info
-    dsp = type(cache.replacement) is DSPPolicy
+    n_chips = len(caches)
+    aware = first.replacement.uses_retention_info
+    dsp = type(first.replacement) is DSPPolicy
     write_back = config.write_back
+    setups = [_replay_setup(cache) for cache in caches]
+    acc_mode = setups[0].acc_mode
+    warm = artifacts.warmup_references
+    lanes = artifacts.lane_columns()
+    n_lanes = len(lanes.sets)
+    INF = math.inf
+
+    # Per-line constants in lane layout.
+    retention = _lane_grid([s.grid for s in setups], lanes.sets)
+    lifetime = _lane_grid(
+        [s.per_line(s.life_by_r, np.float64) for s in setups], lanes.sets
+    )
+    flat_divisor = flat_maxref = None
+    if acc_mode:
+        # Dead lines never owe refreshes; a huge divisor makes that
+        # branch-free (any age // it is zero).
+        flat_divisor = np.where(
+            retention > 0, retention, _DEAD_KEY
+        ).reshape(-1)
+    if acc_mode == 2:
+        flat_maxref = _lane_grid(
+            [s.per_line(s.maxref_by_r, np.int64) for s in setups], lanes.sets
+        ).reshape(-1)
+    # Victim key of an invalid line: its rank among the candidates minus
+    # n_ways (negative, so any invalid candidate beats every valid line's
+    # recency tick).  DSP ranks live ways by descending retention and
+    # never picks a dead one; LRU ranks all ways in way order and never
+    # invalidates a line once filled.
+    ranks = np.arange(n_ways, dtype=np.int64)[:, None, None] - n_ways
+    invalid_key = None
+    if dsp:
+        invalid_key = np.empty_like(retention)
+        np.put_along_axis(
+            invalid_key, np.argsort(-retention, axis=0, kind="stable"),
+            ranks, axis=0,
+        )
+        invalid_key[retention <= 0] = _DEAD_KEY
+    shape = retention.shape
+    del retention
+
+    # Line state.  A line that is invalid, stale or expired has an
+    # infinite expiry, so the expiry sweep is a single compare.
+    tags = np.full(shape, -1, dtype=np.int64)
+    expiry = np.full(shape, INF)
+    fill = np.zeros(shape, dtype=np.int64)
+    recency = (
+        invalid_key.copy() if dsp else np.broadcast_to(ranks, shape).copy()
+    )
+    stale = None if aware else np.zeros(shape, dtype=bool)
+    dirty = np.zeros(shape, dtype=bool) if write_back else None
+
+    # Per (chip, lane) counters over measured references.
+    hits_rd = np.zeros((n_chips, n_lanes), dtype=np.int64)
+    hits_wt = None if write_back else np.zeros_like(hits_rd)
+    expired = np.zeros_like(hits_rd)
+    dead = np.zeros_like(hits_rd) if dsp else None
+    refreshes = np.zeros(n_chips, dtype=np.int64)
+    # Write-back arrivals as (sort key, cycle) column pairs; the key
+    # orders them by (chip, tick, sub), where ``sub`` is the emitting
+    # way of an expiry and ``n_ways`` for an eviction.
+    n_refs = len(artifacts)
+    pushes: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    # Events found by a mask over the active prefix are addressed by
+    # their flat index into the full state arrays.
+    flat_expiry = expiry.reshape(-1)
+    flat_fill = fill.reshape(-1)
+    flat_dirty = dirty.reshape(-1) if dirty is not None else None
+
+    def locate(mask, active):
+        """(flat index, way, chip, lane) of every line set in ``mask``."""
+        at = np.flatnonzero(mask)
+        outer, lane = np.divmod(at, active)
+        way, chip = np.divmod(outer, n_chips)
+        return outer * n_lanes + lane, way, chip, lane
+
+    def account(flat, chip, lane, ages, measured):
+        """Lazy refresh accounting (measured references only)."""
+        if measured is not None:
+            keep = measured[lane]
+            flat, chip, ages = flat[keep], chip[keep], ages[keep]
+        np.maximum(ages, 0, out=ages)
+        counts = ages // flat_divisor[flat]
+        if flat_maxref is not None:
+            np.minimum(counts, flat_maxref[flat], out=counts)
+        refreshes[:] += np.bincount(
+            chip, weights=counts, minlength=n_chips
+        ).astype(np.int64)
+
+    def write_backs(flat, way, chip, cycles, tick_of):
+        """Log the dirty lines among ``flat`` and clean them.
+
+        ``way`` is None for evictions, which log after the expiries.
+        """
+        was_dirty = flat_dirty[flat]
+        if was_dirty.any():
+            sub = n_ways if way is None else way[was_dirty]
+            pushes.append((
+                (chip[was_dirty] * (n_refs + 1) + tick_of[was_dirty])
+                * (n_ways + 1) + sub,
+                cycles[was_dirty],
+            ))
+            flat_dirty[flat[was_dirty]] = False
+
+    offsets = lanes.offsets
+    steps = len(offsets) - 1
+    step = 0
+    while step < steps:
+        lo = int(offsets[step])
+        hi = int(offsets[step + 1])
+        active = hi - lo
+        if active * n_chips < _LANE_MIN_WIDTH:
+            break
+        step += 1
+        tick = lanes.ticks[lo:hi]
+        cyc = lanes.cycles[lo:hi]
+        tag = lanes.tags[lo:hi]
+        wr = lanes.writes[lo:hi]
+        measured = None if not warm or tick.min() >= warm else tick >= warm
+        tg = tags[:, :, :active]
+        ex = expiry[:, :, :active]
+        fc = fill[:, :, :active]
+        rc = recency[:, :, :active]
+        st = stale[:, :, :active] if stale is not None else None
+        dt = dirty[:, :, :active] if dirty is not None else None
+
+        # Expiry sweep: every live line whose timeline ended by now.
+        exp = ex <= cyc
+        recent = None
+        if exp.any():
+            if acc_mode:
+                flat, way, chip, lane = locate(exp, active)
+                ended = flat_expiry[flat].astype(np.int64)
+                account(flat, chip, lane, ended - flat_fill[flat], measured)
+                if dt is not None:
+                    write_backs(flat, way, chip, ended, tick[lane])
+            elif dt is not None:
+                ended = exp & dt
+                if ended.any():
+                    flat, way, chip, lane = locate(ended, active)
+                    write_backs(flat, way, chip,
+                                flat_expiry[flat].astype(np.int64),
+                                tick[lane])
+            if aware:
+                recent = (exp & (tg == tag)).any(axis=0)
+                np.copyto(tg, -1, where=exp)
+                np.copyto(rc, invalid_key[:, :, :active], where=exp)
+            else:
+                st |= exp
+            np.copyto(ex, INF, where=exp)
+
+        # Lookup: tags are unique per set, so ``match`` is one-hot.
+        match = tg == tag
+        found = match.any(axis=0)
+        if st is not None:
+            match_stale = match & st
+            found_stale = match_stale.any(axis=0)
+            hit = found ^ found_stale
+        else:
+            hit = found
+        if write_back:
+            reads = None
+            miss = ~found
+        else:
+            # Write-through, no-write-allocate stores only look up.
+            reads = ~wr
+            miss = ~found & reads
+            writes_counted = wr if measured is None else wr & measured
+            hits_wt[:, :active] += hit & writes_counted
+        counted = reads
+        if measured is not None:
+            counted = measured if reads is None else measured & reads
+        hits_rd[:, :active] += hit if counted is None else hit & counted
+        if st is not None:
+            expired[:, :active] += (
+                found_stale if counted is None else found_stale & counted
+            )
+        elif recent is not None:
+            gone = recent & miss
+            expired[:, :active] += (
+                gone if measured is None else gone & measured
+            )
+
+        # Miss: the smallest victim key is the first invalid candidate,
+        # else the least-recently used valid line.
+        least = rc.min(axis=0)
+        if dead is not None:
+            no_room = miss & (least >= _DEAD_KEY)
+            dead[:, :active] += (
+                no_room if measured is None else no_room & measured
+            )
+            miss &= ~no_room
+        victim = (rc == least) & miss
+        if acc_mode:
+            evicted = victim & (tg >= 0)
+            if st is not None:
+                evicted &= ~st
+            if evicted.any():
+                flat, _, chip, lane = locate(evicted, active)
+                account(flat, chip, lane, cyc[lane] - flat_fill[flat],
+                        measured)
+                if dt is not None:
+                    write_backs(flat, None, chip, cyc[lane], tick[lane])
+        elif dt is not None:
+            evicted = victim & dt
+            if evicted.any():
+                flat, _, chip, lane = locate(evicted, active)
+                write_backs(flat, None, chip, cyc[lane], tick[lane])
+
+        # Fill victims (and, for LRU, refill stale lines in place).
+        if st is not None:
+            refill = match_stale if reads is None else match_stale & reads
+            filled = victim | refill
+            np.copyto(st, False, where=filled)
+        else:
+            filled = victim
+        np.copyto(tg, tag, where=filled)
+        np.copyto(fc, cyc, where=filled)
+        np.copyto(ex, cyc + lifetime[:, :, :active], where=filled)
+        touched = filled | (match & hit)
+        np.copyto(rc, tick + 1, where=touched)
+        if dt is not None:
+            dt |= touched & wr
+
+    # Scalar tail: the few long sets still active finish one set at a
+    # time on the same line state and logs.
+    tail_counts = np.zeros((5, n_chips), dtype=np.int64)
+    # The tail's write-back log, as packed int64 (key, cycle) columns:
+    # a tuple per arrival would dominate the kernel's peak memory.
+    tail_pushes = (array.array("q"), array.array("q"))
+    if step < steps:
+        tail = _LaneTail(
+            n_ways=n_ways, n_refs=n_refs, aware=aware,
+            write_back=write_back, acc_mode=acc_mode, warm=warm,
+            tags=tags, expiry=expiry, fill=fill, recency=recency,
+            stale=stale, dirty=dirty, lifetime=lifetime,
+            invalid_key=invalid_key,
+            divisor=flat_divisor.reshape(shape) if acc_mode else None,
+            maxref=flat_maxref.reshape(shape) if acc_mode == 2 else None,
+            counts=tail_counts, pushes=tail_pushes,
+        )
+        for lane in range(int(offsets[step + 1] - offsets[step])):
+            index = offsets[step:lanes.lengths[lane]] + lane
+            stream = (
+                lanes.ticks[index].tolist(),
+                lanes.cycles[index].tolist(),
+                lanes.tags[index].tolist(),
+                lanes.writes[index].tolist(),
+            )
+            for chip in range(n_chips):
+                tail.run(chip, lane, *stream)
+    refreshes += tail_counts[4]
+
+    # Finalize: refreshes still owed by live lines.
+    end_cycle = artifacts.end_cycle
+    if acc_mode:
+        live = tags >= 0
+        if stale is not None:
+            live &= ~stale
+        flat, _, chip, lane = locate(live, n_lanes)
+        cutoff = np.minimum(flat_expiry[flat], end_cycle).astype(np.int64)
+        account(flat, chip, lane, cutoff - flat_fill[flat], None)
+
+    # The shared write buffer, replayed per chip in program order.
+    loads, stores = _measured_loads_stores(artifacts)
+    measured_refs = loads + stores
+    writes_through = 0 if write_back else stores
+    reads_measured = measured_refs - writes_through
+    if write_back:
+        if tail_pushes[0]:
+            pushes.append(tuple(
+                np.frombuffer(column, dtype=np.int64)
+                for column in tail_pushes
+            ))
+        stalls, writebacks, expiry_writebacks = _replay_write_backs(
+            pushes, n_chips, n_refs, n_ways, warm, config
+        )
+    else:
+        writebacks = expiry_writebacks = [0] * n_chips
+        stalls = [0] * n_chips
+        if n_refs:
+            # Write-through: every store arrives, identically on every
+            # chip, and no line is ever dirty.
+            columns = artifacts.columnar()
+            store_ticks = np.flatnonzero(columns["write"])
+            stalls = [_write_buffer_stall(
+                store_ticks.tolist(),
+                columns["cycle"][store_ticks].tolist(), warm, config,
+            )] * n_chips
+
+    hits_rd = hits_rd.sum(axis=1) + tail_counts[0]
+    hits_total = hits_rd + tail_counts[1]
+    if hits_wt is not None:
+        hits_total += hits_wt.sum(axis=1)
+    expired = expired.sum(axis=1) + tail_counts[2]
+    dead = tail_counts[3] + (dead.sum(axis=1) if dead is not None else 0)
     refresh_cpl = geometry.refresh_cycles_per_line
 
-    # Per-line constants.  Retention is already quantised by the
-    # controller's constructor; effective lifetimes and partial-refresh
-    # caps are pure functions of retention, so compute them once per
-    # distinct value (a b-bit counter admits at most 2**b of them).
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
-    life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-    lifetime: List[float] = [life_by_r[r] for r in retention]
-    if type(refresh) is FullRefresh:
-        acc_mode = 1
-        maxref_by_r: Dict[int, int] = {}
-    elif type(refresh) is PartialRefresh:
-        acc_mode = 2
-        maxref_by_r = {r: refresh.max_refreshes(r) for r in distinct}
-    else:  # NoRefresh / GlobalRefresh: zero per-line refreshes
-        acc_mode = 0
-        maxref_by_r = {}
+    results = []
+    for chip, cache in enumerate(caches):
+        line_refreshes = int(refreshes[chip])
+        refresh_blocked = line_refreshes * refresh_cpl
+        if type(cache.refresh) is GlobalRefresh:
+            passes = end_cycle // cache.refresh.chip_retention_cycles
+            line_refreshes += passes * geometry.n_lines
+            refresh_blocked += passes * cache.refresh.pass_cycles
+        h_rd = int(hits_rd[chip])
+        h = int(hits_total[chip])
+        e = int(expired[chip])
+        d = int(dead[chip])
+        results.append(CacheStats(
+            loads=loads,
+            stores=stores,
+            hits=h,
+            misses_cold=measured_refs - h - e - d,
+            misses_expired=e,
+            misses_dead_bypass=d,
+            writebacks=int(writebacks[chip]),
+            expiry_writebacks=int(expiry_writebacks[chip]),
+            write_throughs=writes_through,
+            l2_accesses=reads_measured - h_rd,
+            l2_hits=0,
+            l2_misses=0,
+            line_refreshes=line_refreshes,
+            refresh_blocked_cycles=refresh_blocked,
+            line_moves=0,
+            move_blocked_cycles=0,
+            write_buffer_stall_cycles=stalls[chip],
+            fills=reads_measured - h_rd - d,
+        ))
+    return results
 
-    n_lines = n_sets * n_ways
-    # Tags live in one row per set with -1 marking invalid ways, so the
-    # hot-path lookup is a C-speed ``tag in row`` / ``row.index(tag)``
-    # over n_ways elements instead of a Python loop; first-match order
-    # equals the controller's way-order scan.
-    set_tags: List[List[int]] = [[-1] * n_ways for _ in range(n_sets)]
-    valid = [False] * n_lines
-    dirty = [False] * n_lines
-    stale = [False] * n_lines
-    fill_c = [0] * n_lines
-    expiry = [0.0] * n_lines
-    recency = [0] * n_lines
-    INF = math.inf
-    # Earliest expiry of any live resident line per set: the kernel only
-    # scans a set for expiries when the clock actually reaches it.
-    next_expiry = [INF] * n_sets
-    live_by_set: List[List[int]] = []
-    if dsp:
-        for s in range(n_sets):
-            base = s * n_ways
-            live_by_set.append(sorted(
-                (base + w for w in range(n_ways) if retention[base + w] > 0),
-                key=lambda j: (-retention[j], j),
-            ))
 
-    # Stat counters as locals (assembled into CacheStats at the end).
-    loads = stores = hits = misses_cold = misses_expired = 0
-    misses_dead = writebacks = expiry_wb = write_throughs = 0
-    l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
+class _LaneTail:
+    """The lane kernel's scalar finish: one set of one chip at a time.
 
-    # Write-buffer state (same update rules as cache.l2.WriteBuffer).
-    wb_queued = 0
-    wb_last = 0.0
-    wb_cap = config.write_buffer_entries
-    wb_drain = config.l2_write_interval_cycles
+    Reads the set's line state out of the lane arrays, replays the rest
+    of its stream with the controller's per-reference rules, and
+    writes the state back for the shared finalize.  Outcome counts of
+    measured references accumulate into ``counts`` (rows: read hits,
+    write-through hits, expired misses, dead misses, refreshes) and
+    write-back arrivals into the ``pushes`` (key, cycle) columns, keyed
+    like the lane steps' log.
+    """
 
-    def _push(cycle):
-        """WriteBuffer.push: drain lazily, stall when full; returns stall."""
-        nonlocal wb_queued, wb_last
-        if cycle < wb_last:
-            cycle = wb_last
-        drained = int((cycle - wb_last) // wb_drain)
-        if drained:
-            wb_queued -= drained
-            if wb_queued < 0:
-                wb_queued = 0
-        wb_last = cycle
-        if wb_queued >= wb_cap:
-            wb_queued = wb_cap
-            return wb_drain
-        wb_queued += 1
-        return 0
+    def __init__(self, **state):
+        self.__dict__.update(state)
 
-    def _account(age, r):
-        """Lazy refresh accounting (RefreshPolicy.refresh_count)."""
-        nonlocal line_refreshes, refresh_blocked
-        if r <= 0:
-            return
-        count = age // r
-        if acc_mode == 2:
-            cap = maxref_by_r[r]
-            if count > cap:
-                count = cap
-        if count:
-            line_refreshes += count
-            refresh_blocked += count * refresh_cpl
+    def run(self, chip, lane, ticks, cycles, tags, writes) -> None:
+        """Finish ``lane`` of ``chip`` over the given stream suffix."""
+        n_ways = self.n_ways
+        aware = self.aware
+        write_back = self.write_back
+        acc_mode = self.acc_mode
+        push_key, push_cycle = (column.append for column in self.pushes)
+        key_base = chip * (self.n_refs + 1)
+        at = (slice(None), chip, lane)
+        row = self.tags[at].tolist()
+        ex = self.expiry[at].tolist()
+        fc = self.fill[at].tolist()
+        rc = self.recency[at].tolist()
+        st = self.stale[at].tolist() if self.stale is not None else None
+        dt = self.dirty[at].tolist() if self.dirty is not None else None
+        life = self.lifetime[at].tolist()
+        ik = self.invalid_key[at].tolist() if aware else None
+        div = self.divisor[at].tolist() if acc_mode else None
+        cap = self.maxref[at].tolist() if acc_mode == 2 else None
+        INF = math.inf
+        DEAD = int(_DEAD_KEY)
+        ways = range(n_ways)
+        nxt = min(ex)
+        h_rd = h_wt = n_exp = n_dead = n_ref = 0
 
-    def _evict(j, cyc):
-        """Controller.evict_line on a valid way."""
-        nonlocal writebacks, wb_stall
-        if stale[j]:
-            # Expiry already accounted refreshes and any write-back.
-            valid[j] = False
-            stale[j] = False
-            dirty[j] = False
-            return
-        age = cyc - fill_c[j]
-        if age < 0:
-            age = 0
-        if acc_mode:
-            _account(age, retention[j])
-        if dirty[j]:
-            writebacks += 1
-            wb_stall += _push(cyc)
-            dirty[j] = False
-        valid[j] = False
-
-    cycles = artifacts.cycles
-    sets_in = artifacts.set_indices
-    tags_in = artifacts.tags
-    writes_in = artifacts.is_write
-    n = len(cycles)
-    warm = artifacts.warmup_references
-    tick = 0
-
-    # Two zip segments split at the warmup boundary: the per-access loop
-    # then carries no index arithmetic and no warmup branch.
-    if 0 < warm < n:
-        segments = ((0, warm), (warm, n))
-    else:
-        segments = ((0, n),)
-    for start, stop in segments:
-        if start:
-            # Measurement begins: drop the warmup counts (state persists).
-            loads = stores = hits = misses_cold = misses_expired = 0
-            misses_dead = writebacks = expiry_wb = write_throughs = 0
-            l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
-        for cyc, s, tag, wr in zip(
-            cycles[start:stop],
-            sets_in[start:stop],
-            tags_in[start:stop],
-            writes_in[start:stop],
-        ):
-            tick += 1
-            base = s * n_ways
-            row = set_tags[s]
-
-            # Lazy per-set expiry sweep, skipped while nothing can expire.
-            recent = None
-            if cyc >= next_expiry[s]:
-                nxt = INF
-                for w in range(n_ways):
-                    j = base + w
-                    if valid[j] and not stale[j]:
-                        e = expiry[j]
-                        if cyc >= e:
-                            t = row[w]
-                            if recent is None:
-                                recent = {t}
-                            else:
-                                recent.add(t)
-                            ecyc = int(e)
-                            age = ecyc - fill_c[j]
-                            if age < 0:
-                                age = 0
+        n_acc = len(ticks)
+        split = bisect.bisect_left(ticks, self.warm)
+        snap = None
+        if split <= 0:
+            snap = (0, 0, 0, 0, 0)
+            segments = ((0, n_acc),)
+        elif split < n_acc:
+            segments = ((0, split), (split, n_acc))
+        else:
+            segments = ((0, n_acc),)
+        for a, b in segments:
+            if a:
+                snap = (h_rd, h_wt, n_exp, n_dead, n_ref)
+            for tck, cyc, tag, wr in zip(
+                ticks[a:b], cycles[a:b], tags[a:b], writes[a:b]
+            ):
+                recent = None
+                if cyc >= nxt:
+                    nxt = INF
+                    for w in ways:
+                        x = ex[w]
+                        if cyc >= x:
                             if acc_mode:
-                                _account(age, retention[j])
-                            if dirty[j]:
-                                writebacks += 1
-                                expiry_wb += 1
-                                wb_stall += _push(ecyc)
-                                dirty[j] = False
+                                age = int(x) - fc[w]
+                                if age > 0:
+                                    count = age // div[w]
+                                    if acc_mode == 2 and count > cap[w]:
+                                        count = cap[w]
+                                    n_ref += count
+                            if dt is not None and dt[w]:
+                                push_key((key_base + tck) * (n_ways + 1) + w)
+                                push_cycle(int(x))
+                                dt[w] = False
                             if aware:
-                                valid[j] = False
+                                if recent is None:
+                                    recent = {row[w]}
+                                else:
+                                    recent.add(row[w])
                                 row[w] = -1
+                                rc[w] = ik[w]
                             else:
-                                stale[j] = True
-                        elif e < nxt:
-                            nxt = e
-                next_expiry[s] = nxt
+                                st[w] = True
+                            ex[w] = INF
+                        elif x < nxt:
+                            nxt = x
 
-            # Hits vastly outnumber misses, so a single ``index`` scan
-            # with an exception fallback beats ``in`` + ``index``.
-            try:
-                way = base + row.index(tag)
-            except ValueError:
-                way = -1
-
-            if wr and not write_back:
-                # Write-through, no-write-allocate store path.
-                write_throughs += 1
-                wb_stall += _push(cyc)
-                if way >= 0 and not stale[way]:
-                    recency[way] = tick
-                    hits += 1
-                else:
-                    misses_cold += 1
-                continue
-
-            if way >= 0:
-                if stale[way]:
-                    # Expired miss: the line refills in place from the L2.
-                    misses_expired += 1
-                    l2_acc += 1
-                    stale[way] = False
-                    dirty[way] = wr
-                    fill_c[way] = cyc
-                    e = cyc + lifetime[way]
-                    expiry[way] = e
-                    if e < next_expiry[s]:
-                        next_expiry[s] = e
-                    recency[way] = tick
-                    fills += 1
+                try:
+                    way = row.index(tag)
+                except ValueError:
+                    way = -1
+                if wr and not write_back:
+                    # Write-through, no-write-allocate store path.
+                    if way >= 0 and (st is None or not st[way]):
+                        rc[way] = tck + 1
+                        h_wt += 1
                     continue
-                hits += 1
-                recency[way] = tick
-                if wr:
-                    dirty[way] = True
-                continue
-
-            # Miss: classify by whether the tag was resident-but-expired.
-            expired = recent is not None and tag in recent
-            l2_acc += 1
-            if dsp:
-                live = live_by_set[s]
-                if not live:
-                    misses_dead += 1
+                if way >= 0:
+                    if st is not None and st[way]:
+                        # Expired miss: the line refills in place.
+                        n_exp += 1
+                        st[way] = False
+                        if dt is not None:
+                            dt[way] = wr
+                        fc[way] = cyc
+                        x = cyc + life[way]
+                        ex[way] = x
+                        if x < nxt:
+                            nxt = x
+                        rc[way] = tck + 1
+                        continue
+                    h_rd += 1
+                    rc[way] = tck + 1
+                    if wr:
+                        dt[way] = True
                     continue
-                victim = -1
-                for j in live:
-                    if not valid[j]:
-                        victim = j
-                        break
-                if victim < 0:
-                    best = -1
-                    best_r = 0
-                    for j in live:
-                        r_ = recency[j]
-                        if best < 0 or r_ < best_r:
-                            best = j
-                            best_r = r_
-                    victim = best
-                    _evict(victim, cyc)
-            else:
-                victim = -1
-                for w in range(n_ways):
-                    j = base + w
-                    if not valid[j]:
-                        victim = j
-                        break
-                if victim < 0:
-                    best = base
-                    best_r = recency[base]
-                    for w in range(1, n_ways):
-                        j = base + w
-                        r_ = recency[j]
-                        if r_ < best_r:
-                            best = j
-                            best_r = r_
-                    victim = best
-                    _evict(victim, cyc)
-            if expired:
-                misses_expired += 1
-            else:
-                misses_cold += 1
-            row[victim - base] = tag
-            valid[victim] = True
-            stale[victim] = False
-            dirty[victim] = wr
-            fill_c[victim] = cyc
-            e = cyc + lifetime[victim]
-            expiry[victim] = e
-            if e < next_expiry[s]:
-                next_expiry[s] = e
-            recency[victim] = tick
-            fills += 1
 
-    if warm and n <= warm:
-        loads = stores = hits = misses_cold = misses_expired = 0
-        misses_dead = writebacks = expiry_wb = write_throughs = 0
-        l2_acc = line_refreshes = refresh_blocked = wb_stall = fills = 0
-    else:
-        # loads/stores are state-independent: count them from the columnar
-        # write flags instead of branching once per access in the loop.
-        measured_from = warm if 0 < warm < n else 0
-        writes_col = artifacts.columnar()["write"]
-        stores = int(np.count_nonzero(writes_col[measured_from:]))
-        loads = (n - measured_from) - stores
+                # Miss: the smallest victim key wins (see _replay_lanes).
+                victim = 0
+                best = rc[0]
+                for w in ways:
+                    if rc[w] < best:
+                        victim = w
+                        best = rc[w]
+                if best >= DEAD:
+                    n_dead += 1
+                    continue
+                if row[victim] >= 0 and (st is None or not st[victim]):
+                    if acc_mode:
+                        age = cyc - fc[victim]
+                        if age > 0:
+                            count = age // div[victim]
+                            if acc_mode == 2 and count > cap[victim]:
+                                count = cap[victim]
+                            n_ref += count
+                    if dt is not None and dt[victim]:
+                        push_key(
+                            (key_base + tck) * (n_ways + 1) + n_ways
+                        )
+                        push_cycle(cyc)
+                if recent is not None and tag in recent:
+                    n_exp += 1
+                row[victim] = tag
+                if st is not None:
+                    st[victim] = False
+                if dt is not None:
+                    dt[victim] = wr
+                fc[victim] = cyc
+                x = cyc + life[victim]
+                ex[victim] = x
+                if x < nxt:
+                    nxt = x
+                rc[victim] = tck + 1
 
-    # Finalize: refreshes still owed by resident lines, then the global
-    # scheme's whole-cache passes.
-    end_cycle = artifacts.end_cycle
-    for j in range(n_lines):
-        if valid[j] and not stale[j]:
-            e = expiry[j]
-            cutoff = end_cycle if e > end_cycle else e
-            age = int(cutoff) - fill_c[j]
-            if age < 0:
-                age = 0
-            if acc_mode:
-                _account(age, retention[j])
-    if type(refresh) is GlobalRefresh:
-        passes = end_cycle // refresh.chip_retention_cycles
-        line_refreshes += passes * n_lines
-        refresh_blocked += passes * refresh.pass_cycles
-
-    return CacheStats(
-        loads=loads,
-        stores=stores,
-        hits=hits,
-        misses_cold=misses_cold,
-        misses_expired=misses_expired,
-        misses_dead_bypass=misses_dead,
-        writebacks=writebacks,
-        expiry_writebacks=expiry_wb,
-        write_throughs=write_throughs,
-        l2_accesses=l2_acc,
-        l2_hits=0,
-        l2_misses=0,
-        line_refreshes=line_refreshes,
-        refresh_blocked_cycles=refresh_blocked,
-        line_moves=0,
-        move_blocked_cycles=0,
-        write_buffer_stall_cycles=wb_stall,
-        fills=fills,
-    )
+        if snap is None:
+            # Every reference of this stream fell inside the warmup.
+            snap = (h_rd, h_wt, n_exp, n_dead, n_ref)
+        self.counts[:, chip] += (
+            h_rd - snap[0], h_wt - snap[1], n_exp - snap[2],
+            n_dead - snap[3], n_ref - snap[4],
+        )
+        self.tags[at] = row
+        self.expiry[at] = ex
+        self.fill[at] = fc
+        self.recency[at] = rc
+        if st is not None:
+            self.stale[at] = st
+        if dt is not None:
+            self.dirty[at] = dt
 
 
 # ----------------------------------------------------------------------
@@ -669,6 +1207,10 @@ def _resolve_suite(suite):
     )
 
 
+#: Placeholder for a (chip, scheme) cell no batch has evaluated yet.
+_PENDING = object()
+
+
 def evaluate_many(
     chips: Sequence,
     schemes: Sequence,
@@ -694,6 +1236,11 @@ def evaluate_many(
     benchmarks:
         Optional benchmark subset (default: the suite's full set).
 
+    Every scheme on the ``"flattened"`` path replays each benchmark once
+    for the whole batch on the chip-lane kernel (:func:`simulate_lanes`);
+    other schemes evaluate chip by chip.  A batch gives the same results
+    as its chips evaluated one at a time.
+
     Returns
     -------
     A list with one row per chip; each row holds one
@@ -709,24 +1256,50 @@ def evaluate_many(
         scheme if isinstance(scheme, RetentionScheme) else get_scheme(scheme)
         for scheme in schemes
     ]
-    results = []
-    for chip in chips:
+    results: List[List] = [[_PENDING] * len(scheme_objs) for _ in chips]
+    if evaluator.use_batch_kernel:
+        # Flattened-path schemes replay every benchmark once for the
+        # whole batch on chip lanes; the rest fall through per chip.
+        for index, scheme in enumerate(scheme_objs):
+            architectures = [
+                Cache3T1DArchitecture(chip, scheme, config=evaluator.config)
+                for chip in chips
+            ]
+            operable = [
+                row for row, architecture in enumerate(architectures)
+                if architecture.is_operable()
+            ]
+            if not operable:
+                continue
+            evaluations = evaluator.evaluate_lanes(
+                [architectures[row] for row in operable],
+                benchmarks=benchmarks,
+            )
+            if evaluations is None:
+                continue
+            for row in range(len(chips)):
+                results[row][index] = None
+            for row, evaluation in zip(operable, evaluations):
+                results[row][index] = evaluation
+    for chip, row in zip(chips, results):
+        if all(cell is not _PENDING for cell in row):
+            continue
         with _trace_span(
             "evaluate_schemes", cat="kernel",
             chip_id=getattr(chip, "chip_id", -1), schemes=len(scheme_objs),
         ):
-            row = []
-            for scheme in scheme_objs:
+            for index, scheme in enumerate(scheme_objs):
+                if row[index] is not _PENDING:
+                    continue
                 try:
                     architecture = Cache3T1DArchitecture(
                         chip, scheme, config=evaluator.config
                     )
-                    row.append(
-                        evaluator.evaluate(architecture, benchmarks=benchmarks)
+                    row[index] = evaluator.evaluate(
+                        architecture, benchmarks=benchmarks
                     )
                 except ChipDiscardedError:
-                    row.append(None)
-            results.append(row)
+                    row[index] = None
     return results
 
 
@@ -763,7 +1336,9 @@ __all__ = [
     "COLUMN_DTYPE",
     "KERNEL_PATHS",
     "KernelSupport",
+    "LaneColumns",
     "TraceArtifacts",
+    "simulate_lanes",
     "simulate_trace",
     "kernel_support",
     "evaluate_many",

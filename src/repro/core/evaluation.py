@@ -19,7 +19,7 @@ paper (section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.technology import calibration
@@ -35,7 +35,13 @@ from repro.core.architecture import (
     Cache6TArchitecture,
     IdealCacheArchitecture,
 )
-from repro.core.batcheval import TraceArtifacts, kernel_support, simulate_trace
+from repro.core.batcheval import (
+    TraceArtifacts,
+    _check_lane_batch,
+    _lane_replay,
+    kernel_support,
+    simulate_trace,
+)
 
 Architecture = Union[
     Cache3T1DArchitecture, Cache6TArchitecture, IdealCacheArchitecture
@@ -243,6 +249,22 @@ class Evaluator:
         self, architecture: Architecture, benchmark: str
     ) -> BenchmarkResult:
         """Run one benchmark against one architecture."""
+        replay = None
+        if isinstance(architecture, Cache3T1DArchitecture):
+            replay = self._run_trace(architecture.build_cache(), benchmark)
+        return self._benchmark_result(architecture, benchmark, replay)
+
+    def _benchmark_result(
+        self,
+        architecture: Architecture,
+        benchmark: str,
+        replay: Optional[Tuple[CacheStats, str]],
+    ) -> BenchmarkResult:
+        """The benchmark's metrics from a 3T1D replay's (stats, path).
+
+        Ideal and 6T architectures reuse the cached baseline and pass
+        ``replay=None``.
+        """
         profile = get_profile(benchmark)
         trace = self.trace(benchmark)
         window = max(1, trace.measured_window_cycles)
@@ -283,8 +305,7 @@ class Evaluator:
             )
 
         # --- 3T1D architecture ---
-        cache = architecture.build_cache()
-        stats, kernel_path = self._run_trace(cache, benchmark)
+        stats, kernel_path = replay
         model = AnalyticCPUModel(profile, architecture.config)
         if architecture.scheme.is_global:
             duty = min(
@@ -363,8 +384,64 @@ class Evaluator:
                 "benchmarks must be a non-empty sequence (or None for the "
                 "evaluator's suite)"
             )
-        results = {
-            name: self.evaluate_benchmark(architecture, name) for name in names
-        }
-        scheme = next(iter(results.values())).scheme
-        return ChipEvaluation(scheme=scheme, results=results)
+        results = {}
+        cache = None
+        for name in names:
+            replay = None
+            if isinstance(architecture, Cache3T1DArchitecture):
+                # The kernels never mutate the cache they replay, so
+                # every benchmark shares one instance (and its memoised
+                # line setup); the event controller needs a fresh one.
+                if cache is None or not (
+                    self.use_batch_kernel and kernel_support(cache).supported
+                ):
+                    cache = architecture.build_cache()
+                replay = self._run_trace(cache, name)
+            results[name] = self._benchmark_result(architecture, name, replay)
+        return ChipEvaluation(
+            scheme=next(iter(results.values())).scheme, results=results
+        )
+
+    def evaluate_lanes(
+        self,
+        architectures: Sequence[Cache3T1DArchitecture],
+        benchmarks: Optional[Sequence[str]] = None,
+    ) -> Optional[List[ChipEvaluation]]:
+        """Run the suite against operable chips that share one scheme.
+
+        Each benchmark replays once for the whole batch on the chip-lane
+        kernel (:func:`~repro.core.batcheval.simulate_lanes`); the
+        results equal :meth:`evaluate` on each architecture.  Returns
+        ``None``, having replayed nothing, when the scheme's caches do
+        not take the ``"flattened"`` path.
+        """
+        names = tuple(self.benchmarks if benchmarks is None else benchmarks)
+        if not names:
+            raise ConfigurationError(
+                "benchmarks must be a non-empty sequence (or None for the "
+                "evaluator's suite)"
+            )
+        if not architectures:
+            return []
+        first = architectures[0].build_cache()
+        if kernel_support(first).path != "flattened":
+            return None
+        caches = [first] + [
+            architecture.build_cache() for architecture in architectures[1:]
+        ]
+        _check_lane_batch(caches)
+        results: List[Dict[str, BenchmarkResult]] = [{} for _ in caches]
+        for name in names:
+            artifacts = self.trace_artifacts(
+                name, self.config.geometry.n_sets
+            )
+            for result, architecture, stats in zip(
+                results, architectures, _lane_replay(caches, artifacts)
+            ):
+                result[name] = self._benchmark_result(
+                    architecture, name, (stats, "flattened")
+                )
+        return [
+            ChipEvaluation(scheme=architecture.scheme.name, results=result)
+            for architecture, result in zip(architectures, results)
+        ]

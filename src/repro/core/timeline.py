@@ -40,11 +40,12 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.cache.refresh import FullRefresh, GlobalRefresh, PartialRefresh
+from repro.cache.refresh import GlobalRefresh, PartialRefresh
 from repro.cache.replacement import DSPPolicy, RSPFIFOPolicy, RSPLRUPolicy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.cache.token import TokenRefreshEngine
+from repro.core.batcheval import _replay_setup, _write_buffer_stall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.controller import RetentionAwareCache
@@ -80,23 +81,14 @@ def _replay_rsp_sets(
     config = cache.config
     geometry = config.geometry
     n_sets = geometry.n_sets
-    n_ways = geometry.ways
     refresh = cache.refresh
     write_back = config.write_back
     refresh_cpl = geometry.refresh_cycles_per_line
 
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
-    life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-    if type(refresh) is FullRefresh:
-        acc_mode = 1
-        maxref_by_r = {}
-    elif type(refresh) is PartialRefresh:
-        acc_mode = 2
-        maxref_by_r = {r: refresh.max_refreshes(r) for r in distinct}
-    else:  # NoRefresh / GlobalRefresh: zero per-line refreshes
-        acc_mode = 0
-        maxref_by_r = {}
+    setup = _replay_setup(cache)
+    acc_mode = setup.acc_mode
+    maxref_by_r = setup.maxref_by_r
+    rsp_sets = setup.rsp_sets
 
     INF = math.inf
     warm = artifacts.warmup_references
@@ -119,16 +111,8 @@ def _replay_rsp_sets(
         stream = streams[s]
         if stream is None:
             continue
-        base = s * n_ways
-        order = sorted(
-            (w for w in range(n_ways) if retention[base + w] > 0),
-            key=lambda w: (-retention[base + w], w),
-        )
+        order, retp, life, sweep_pos = rsp_sets[s]
         n_live = len(order)
-        retp = [retention[base + w] for w in order]
-        life = [life_by_r[r] for r in retp]
-        # Expiry sweeps visit ways in way-index order, like the controller.
-        sweep_pos = sorted(range(n_live), key=lambda p: order[p])
 
         # Position-space line state: slot p holds the block currently in
         # the p-th longest-retention live way (-1 = invalid).
@@ -400,27 +384,12 @@ def _replay_rsp_sets(
     # The single shared write buffer: replay every write-back arrival in
     # program order.  Ties share a reference index only within one set,
     # so (tick, emission order) reproduces the controller's sequence.
-    wb_stall = 0
-    wb_queued = 0
-    wb_last = 0.0
-    wb_cap = config.write_buffer_entries
-    wb_drain = config.l2_write_interval_cycles
     push_events.sort()
-    for tick, _seq, cycle in push_events:
-        if cycle < wb_last:
-            cycle = wb_last
-        drained = int((cycle - wb_last) // wb_drain)
-        if drained:
-            wb_queued -= drained
-            if wb_queued < 0:
-                wb_queued = 0
-        wb_last = cycle
-        if wb_queued >= wb_cap:
-            wb_queued = wb_cap
-            if tick >= warm:
-                wb_stall += wb_drain
-        else:
-            wb_queued += 1
+    wb_stall = _write_buffer_stall(
+        [tick for tick, _seq, _cycle in push_events],
+        [cycle for _tick, _seq, cycle in push_events],
+        warm, config,
+    )
 
     return CacheStats(
         loads=g_loads,
@@ -468,8 +437,9 @@ def _replay_with_devices(
     write_back = config.write_back
     refresh_cpl = geometry.refresh_cycles_per_line
 
-    retention: List[int] = [int(r) for r in cache.retention_grid.reshape(-1)]
-    distinct = set(retention)
+    setup = _replay_setup(cache)
+    retention = setup.retention
+    distinct = setup.life_by_r.keys()
 
     engine = None
     margin = 0
@@ -499,14 +469,8 @@ def _replay_with_devices(
         acc_mode = 0
         lifetime: List[float] = [float(r) for r in retention]
     else:
-        life_by_r = {r: refresh.effective_lifetime(r) for r in distinct}
-        lifetime = [life_by_r[r] for r in retention]
-        if type(refresh) is FullRefresh:
-            acc_mode = 1
-        elif partial:
-            acc_mode = 2
-        else:
-            acc_mode = 0
+        lifetime = setup.lifetime
+        acc_mode = setup.acc_mode
 
     set_tags: List[List[int]] = [[-1] * n_ways for _ in range(n_sets)]
     valid = [False] * n_lines
@@ -518,13 +482,7 @@ def _replay_with_devices(
     refreshes_done = [0] * n_lines
     INF = math.inf
     next_expiry = [INF] * n_sets
-    orders: List[List[int]] = []
-    for s in range(n_sets):
-        base = s * n_ways
-        orders.append(sorted(
-            (w for w in range(n_ways) if retention[base + w] > 0),
-            key=lambda w: (-retention[base + w], w),
-        ))
+    orders = setup.orders
 
     loads = stores = hits = misses_cold = misses_expired = 0
     misses_dead = writebacks = expiry_wb = write_throughs = 0

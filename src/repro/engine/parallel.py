@@ -21,6 +21,7 @@ results -- only wall-clock differs.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from collections import OrderedDict
@@ -31,7 +32,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,14 +256,45 @@ class EvalTask:
                 )
 
 
+@dataclass(frozen=True, eq=False)
+class EvalGroup:
+    """Consecutive ``"schemes"`` tasks evaluated as one chip batch.
+
+    :meth:`ParallelChipRunner.evaluate` packs tasks that share a spec,
+    schemes and benchmark subset into groups, so a worker hands the
+    whole batch to :func:`~repro.core.batcheval.evaluate_many` (and its
+    chip-lane kernel); the result is one outcome tuple per chip, in
+    order, exactly as the separate tasks would have returned.
+    """
+
+    evaluator: EvaluatorSpec
+    chips: Tuple[DRAM3T1DChipSample, ...]
+    schemes: Tuple[str, ...]
+    benchmarks: Optional[Tuple[str, ...]] = None
+
+
 def _evaluate_schemes(
-    evaluator: Evaluator, task: EvalTask
+    evaluator: Evaluator,
+    chips: Sequence[DRAM3T1DChipSample],
+    schemes: Tuple[str, ...],
+    benchmarks: Optional[Tuple[str, ...]],
+) -> List[Tuple[SchemeOutcome, ...]]:
+    """Per chip, the :class:`SchemeOutcome` of each scheme."""
+    rows = evaluate_many(chips, schemes, evaluator, benchmarks=benchmarks)
+    return [
+        _scheme_outcomes(evaluator, chip, schemes, row)
+        for chip, row in zip(chips, rows)
+    ]
+
+
+def _scheme_outcomes(
+    evaluator: Evaluator,
+    chip: DRAM3T1DChipSample,
+    schemes: Tuple[str, ...],
+    evaluations: Sequence,
 ) -> Tuple[SchemeOutcome, ...]:
-    evaluations = evaluate_many(
-        [task.chip], task.schemes, evaluator, benchmarks=task.benchmarks
-    )[0]
     outcomes: List[SchemeOutcome] = []
-    for name, evaluation in zip(task.schemes, evaluations):
+    for name, evaluation in zip(schemes, evaluations):
         scheme = get_scheme(name)
         if evaluation is None:
             outcomes.append(SchemeOutcome(scheme=name, discarded=True))
@@ -275,14 +307,14 @@ def _evaluate_schemes(
         ]))
         refresh_norm = 0.0
         if scheme.is_global:
-            technology = getattr(task.chip, "technology", "3t1d")
+            technology = getattr(chip, "technology", "3t1d")
             power_model = CachePowerModel(
                 evaluator.node,
                 cell_kind="3T1D" if technology == "3t1d" else technology,
                 geometry=evaluator.config.geometry,
             )
             refresh_watts = power_model.global_refresh_power(
-                task.chip.chip_retention_time
+                chip.chip_retention_time
             )
             refresh_norm = refresh_watts / ideal_watts
         with_stats = [r for r in results.values() if r.stats is not None]
@@ -314,9 +346,17 @@ def _evaluate_schemes(
     return tuple(outcomes)
 
 
-def run_eval_task(task: EvalTask):
-    """Execute one evaluation task (in a worker or inline)."""
+def run_eval_task(task: Union[EvalTask, EvalGroup]):
+    """Execute one evaluation task or chip group (in a worker or inline)."""
     evaluator = evaluator_for(task.evaluator)
+    if isinstance(task, EvalGroup):
+        with trace_mod.span(
+            "evaluate_chip", cat="evaluate",
+            chips=len(task.chips), schemes=len(task.schemes),
+        ):
+            return tuple(_evaluate_schemes(
+                evaluator, task.chips, task.schemes, task.benchmarks
+            ))
     if task.kind == "ideal_ipc":
         with trace_mod.span("ideal_ipc", cat="evaluate"):
             ideal = IdealCacheArchitecture(
@@ -331,7 +371,9 @@ def run_eval_task(task: EvalTask):
         chip_id=getattr(task.chip, "chip_id", -1),
         schemes=len(task.schemes),
     ):
-        return _evaluate_schemes(evaluator, task)
+        return _evaluate_schemes(
+            evaluator, (task.chip,), task.schemes, task.benchmarks
+        )[0]
 
 
 def run_build_task(task: ChipBuildTask):
@@ -340,6 +382,53 @@ def run_build_task(task: ChipBuildTask):
         "build_chip", cat="build", chip_id=getattr(task, "chip_id", -1)
     ):
         return task.build()
+
+
+#: Target chips per :class:`EvalGroup`: where the lane kernel's cost per
+#: chip levels off.  On the 20k-reference suite (no-refresh/LRU plus
+#: partial-refresh/DSP, 2-core host) a chip cost 15.2 ms per
+#: benchmark replayed alone, 5.6 ms in a batch of 4, 4.1 ms in 8, and
+#: 3.6-3.9 ms in 16-32; past 8 a bigger group saves little and loses
+#: more work to a kill or a retry.
+_CHIP_GROUP = 8
+
+#: Fewest chips a run needs before it is grouped.  Below this, batching
+#: saves too little to give up spreading the chips over workers.
+_MIN_CHIP_GROUP = 4
+
+
+def _chip_groups(
+    tasks: Sequence[EvalTask],
+) -> List[Union[EvalTask, EvalGroup]]:
+    """Pack runs of like ``"schemes"`` tasks into :class:`EvalGroup` items.
+
+    A run of ``n`` consecutive tasks sharing spec, schemes and
+    benchmarks splits evenly into ``ceil(n / _CHIP_GROUP)`` groups (so
+    each holds at least ``_MIN_CHIP_GROUP`` chips) when ``n`` is at least
+    ``_MIN_CHIP_GROUP``; shorter runs keep their per-chip tasks (and task
+    keys) unchanged.  The split depends on the run alone, never on the
+    worker count, so journal keys carry over when a run resumes at a
+    different width.
+    """
+    work: List[Union[EvalTask, EvalGroup]] = []
+    for _, run in itertools.groupby(tasks, key=lambda task: (
+        (task.evaluator, task.schemes, task.benchmarks)
+        if task.kind == "schemes" else task
+    )):
+        run = list(run)
+        if run[0].kind != "schemes" or len(run) < _MIN_CHIP_GROUP:
+            work.extend(run)
+            continue
+        head = run[0]
+        groups = -(-len(run) // _CHIP_GROUP)
+        for chunk in np.array_split(np.arange(len(run)), groups):
+            work.append(EvalGroup(
+                evaluator=head.evaluator,
+                chips=tuple(run[i].chip for i in chunk),
+                schemes=head.schemes,
+                benchmarks=head.benchmarks,
+            ))
+    return work
 
 
 @dataclass
@@ -836,13 +925,25 @@ class ParallelChipRunner:
     ) -> List[Any]:
         """Run evaluation tasks; one result per task, in task order.
 
+        Consecutive ``"schemes"`` tasks that share a spec, schemes and
+        benchmarks run as :class:`EvalGroup` chip batches (see
+        :func:`_chip_groups`), so the chip-lane kernel can replay each
+        group at once; results are unpacked back to one per task, and
+        journal records, fault injection and
+        :class:`~repro.engine.events.ChipCompleted` events count groups.
         After the batch completes, the replay paths taken per
         scheme x benchmark cell are aggregated and reported through one
         :class:`~repro.engine.events.KernelPathsCollected` event.
         """
-        results = self.map(
-            run_eval_task, tasks, observer=observer, label=label
-        )
+        work = _chip_groups(list(tasks))
+        results: List[Any] = []
+        for item, value in zip(work, self.map(
+            run_eval_task, work, observer=observer, label=label
+        )):
+            if isinstance(item, EvalGroup):
+                results.extend(value)
+            else:
+                results.append(value)
         paths: Dict[str, str] = {}
         for value in results:
             if not isinstance(value, tuple):
@@ -888,6 +989,7 @@ class ParallelChipRunner:
 __all__ = [
     "DEFAULT_EVALUATOR_CACHE_SIZE",
     "EvaluatorSpec",
+    "EvalGroup",
     "EvalTask",
     "SchemeOutcome",
     "ParallelChipRunner",

@@ -365,9 +365,12 @@ class Tracer:
         """Aggregated per-phase durations for ``metrics.json``.
 
         Phases are span categories; within each phase the table breaks
-        totals down by span name.  ``wall_clock_coverage`` is the
-        fraction of the root run span covered by the union of its
-        coordinator-side child spans (1.0 when no run span exists yet).
+        totals down by span name.  Names whose spans carry ``chips`` and
+        ``references`` args (the chip-lane replay kernel's) also report
+        ``chip_references`` and ``chip_references_per_s``.
+        ``wall_clock_coverage`` is the fraction of the root run span
+        covered by the union of its coordinator-side child spans (1.0
+        when no run span exists yet).
         """
         table: Dict[str, Dict[str, Any]] = {}
         run_span: Optional[Span] = None
@@ -382,6 +385,12 @@ class Tracer:
             )
             entry["total_s"] += s.duration_s
             entry["spans"] += 1
+            args = dict(s.args)
+            if "chips" in args and "references" in args:
+                entry["chip_references"] = (
+                    entry.get("chip_references", 0)
+                    + args["chips"] * args["references"]
+                )
             if s.cat == "run":
                 run_span = s
             elif s.cat == "experiment":
@@ -389,6 +398,10 @@ class Tracer:
         for phase in table.values():
             phase["total_s"] = round(phase["total_s"], 6)
             for entry in phase["by_name"].values():
+                if "chip_references" in entry and entry["total_s"] > 0:
+                    entry["chip_references_per_s"] = round(
+                        entry["chip_references"] / entry["total_s"], 1
+                    )
                 entry["total_s"] = round(entry["total_s"], 6)
         coverage = 1.0
         if run_span is not None and run_span.duration_ns > 0:
